@@ -17,6 +17,7 @@
 #include "obs/run_report.hpp"
 #include "obs/span.hpp"
 #include "stats/evt.hpp"
+#include "ml/kernel_functions.hpp"
 #include "ml/kmm.hpp"
 #include "ml/mars.hpp"
 #include "ml/one_class_svm.hpp"
@@ -56,6 +57,19 @@ void BM_AdaptiveKdeSample(benchmark::State& state) {
 }
 BENCHMARK(BM_AdaptiveKdeSample);
 
+// The pipeline draws S2/S5 through sample_n at M' = 1e5, not through
+// sample(); this is the call calibrate_paper spends its KDE time in.
+void BM_AdaptiveKdeSampleN(benchmark::State& state) {
+    const Matrix data = gaussian_cloud(100, 6, 2);
+    const htd::stats::AdaptiveKde kde(data, 0.5);
+    htd::rng::Rng rng(3);
+    const auto n = static_cast<std::size_t>(state.range(0));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(kde.sample_n(rng, n));
+    }
+}
+BENCHMARK(BM_AdaptiveKdeSampleN)->Arg(100000)->Unit(benchmark::kMillisecond);
+
 void BM_OneClassSvmFit(benchmark::State& state) {
     const Matrix data = gaussian_cloud(static_cast<std::size_t>(state.range(0)), 6, 4);
     for (auto _ : state) {
@@ -65,6 +79,16 @@ void BM_OneClassSvmFit(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_OneClassSvmFit)->Arg(100)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
+
+// The RBF width svm.fit resolves first: at 2000 rows the strided pair
+// subsample keeps 100k of the ~2M pairs.
+void BM_MedianHeuristicGamma(benchmark::State& state) {
+    const Matrix data = gaussian_cloud(static_cast<std::size_t>(state.range(0)), 6, 4);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(htd::ml::median_heuristic_gamma(data));
+    }
+}
+BENCHMARK(BM_MedianHeuristicGamma)->Arg(2000)->Unit(benchmark::kMillisecond);
 
 void BM_OneClassSvmDecision(benchmark::State& state) {
     const Matrix data = gaussian_cloud(1000, 6, 5);

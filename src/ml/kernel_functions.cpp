@@ -30,27 +30,6 @@ KernelFn rbf_kernel(double gamma) {
     };
 }
 
-KernelFn linear_kernel() {
-    return [](std::span<const double> x, std::span<const double> y) {
-        if (x.size() != y.size()) throw std::invalid_argument("linear_kernel: dim mismatch");
-        double acc = 0.0;
-        for (std::size_t i = 0; i < x.size(); ++i) acc += x[i] * y[i];
-        return acc;
-    };
-}
-
-KernelFn polynomial_kernel(unsigned degree, double scale, double offset) {
-    if (degree == 0) throw std::invalid_argument("polynomial_kernel: degree == 0");
-    return [degree, scale, offset](std::span<const double> x, std::span<const double> y) {
-        if (x.size() != y.size()) {
-            throw std::invalid_argument("polynomial_kernel: dim mismatch");
-        }
-        double acc = 0.0;
-        for (std::size_t i = 0; i < x.size(); ++i) acc += x[i] * y[i];
-        return std::pow(scale * acc + offset, static_cast<double>(degree));
-    };
-}
-
 double median_heuristic_gamma(const linalg::Matrix& data, std::size_t max_pairs) {
     const std::size_t n = data.rows();
     if (n < 2) throw std::invalid_argument("median_heuristic_gamma: need >= 2 rows");
@@ -63,32 +42,26 @@ double median_heuristic_gamma(const linalg::Matrix& data, std::size_t max_pairs)
             for (std::size_t j = i + 1; j < n; ++j)
                 dists.push_back(std::sqrt(squared_dist(data.row_span(i), data.row_span(j))));
     } else {
-        // Deterministic stride subsample over the pair index space.
+        // Deterministic stride subsample: jump straight to the kept flat
+        // indices 0, stride, 2 * stride, ... of the row-major pair order,
+        // where row i holds the n - 1 - i pairs (i, i + 1) .. (i, n - 1).
         dists.reserve(max_pairs);
         const std::size_t stride = std::max<std::size_t>(1, total_pairs / max_pairs);
-        std::size_t flat = 0;
-        for (std::size_t i = 0; i < n && dists.size() < max_pairs; ++i) {
-            for (std::size_t j = i + 1; j < n && dists.size() < max_pairs; ++j, ++flat) {
-                if (flat % stride == 0) {
-                    dists.push_back(
-                        std::sqrt(squared_dist(data.row_span(i), data.row_span(j))));
-                }
+        std::size_t i = 0;
+        std::size_t row_begin = 0;  // flat index of pair (i, i + 1)
+        for (std::size_t flat = 0; flat < total_pairs && dists.size() < max_pairs;
+             flat += stride) {
+            while (flat - row_begin >= n - 1 - i) {
+                row_begin += n - 1 - i;
+                ++i;
             }
+            const std::size_t j = i + 1 + (flat - row_begin);
+            dists.push_back(std::sqrt(squared_dist(data.row_span(i), data.row_span(j))));
         }
     }
     const double med = stats::median(dists);
     if (med <= 0.0) return 1.0 / static_cast<double>(data.cols());
     return 1.0 / (2.0 * med * med);
-}
-
-linalg::Matrix gram_matrix(const KernelFn& kernel, const linalg::Matrix& a,
-                           const linalg::Matrix& b) {
-    if (a.cols() != b.cols()) throw std::invalid_argument("gram_matrix: dim mismatch");
-    linalg::Matrix k(a.rows(), b.rows());
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < b.rows(); ++j)
-            k(i, j) = kernel(a.row_span(i), b.row_span(j));
-    return k;
 }
 
 linalg::Matrix gram_matrix(const KernelFn& kernel, const linalg::Matrix& x) {

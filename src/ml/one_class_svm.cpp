@@ -7,11 +7,77 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace htd::ml {
+
+namespace {
+
+/// Columns of the RBF Gram matrix Q_tj = exp(-gamma ||x_t - x_j||^2) over
+/// the rows of `x`, each computed the first time SMO reads it and kept for
+/// the rest of the fit. SMO touches only a few hundred of the l columns, so
+/// this costs a fraction of the dense l x l matrix and at most as much.
+/// Cell (t, j) subtracts the higher-index row from the lower-index one, so
+/// Q stays bitwise symmetric and equal to the dense Gram matrix the parity
+/// pins were taken with (DESIGN.md §17).
+///
+/// The columns share one l x l block (column j at offset j * l) that is
+/// allocated without being initialised, so only the pages of computed
+/// columns become resident. One block per fit, freed in one piece, leaves
+/// no column-sized holes behind the fitted model's own allocations, so the
+/// heap a fit leaves behind does not depend on how many columns it read.
+class KernelColumns {
+public:
+    /// `x` must outlive the cache and have at least one row.
+    KernelColumns(const linalg::Matrix& x, double gamma)
+        : rows_(x.row_span(0).data()),
+          l_(x.rows()),
+          d_(x.cols()),
+          gamma_(gamma),
+          cells_(std::make_unique_for_overwrite<double[]>(l_ * l_)),
+          ready_(l_, 0) {}
+
+    /// Column j: l values.
+    [[nodiscard]] const double* column(std::size_t j) {
+        double* col = cells_.get() + j * l_;
+        if (ready_[j] == 0) {
+            for (std::size_t t = 0; t < l_; ++t) {
+                col[t] = t <= j ? rbf(t, j) : rbf(j, t);
+            }
+            ready_[j] = 1;
+            ++computed_;
+        }
+        return col;
+    }
+
+    /// Columns evaluated so far.
+    [[nodiscard]] std::size_t computed() const noexcept { return computed_; }
+
+private:
+    [[nodiscard]] double rbf(std::size_t a, std::size_t b) const {
+        const double* xa = rows_ + a * d_;
+        const double* xb = rows_ + b * d_;
+        double acc = 0.0;
+        for (std::size_t k = 0; k < d_; ++k) {
+            const double diff = xa[k] - xb[k];
+            acc += diff * diff;
+        }
+        return std::exp(-gamma_ * acc);
+    }
+
+    const double* rows_;  // row-major l_ x d_
+    std::size_t l_;
+    std::size_t d_;
+    double gamma_;
+    std::unique_ptr<double[]> cells_;  // column-major l_ x l_, written on demand
+    std::vector<unsigned char> ready_;  // ready_[j] != 0 once column j is written
+    std::size_t computed_ = 0;
+};
+
+}  // namespace
 
 OneClassSvm::OneClassSvm(Options opts) : opts_(opts) {
     if (!(opts.nu > 0.0 && opts.nu < 1.0)) {
@@ -84,12 +150,9 @@ void OneClassSvm::fit(const linalg::Matrix& data) {
     }
     gamma_ = opts_.gamma > 0.0 ? opts_.gamma
                                : median_heuristic_gamma(x) * opts_.gamma_scale;
-    const KernelFn kernel = rbf_kernel(gamma_);
 
-    // 3. Dense Gram matrix (bounded by the subsample cap).
-    const linalg::Matrix q = gram_matrix(kernel, x);
-    obs::Registry::global().work_add("work.svm.gram_cells",
-                                     static_cast<double>(l) * static_cast<double>(l));
+    // 3. Kernel columns, evaluated on first read (see KernelColumns).
+    KernelColumns q(x, gamma_);
 
     // 4. Initialize alpha as in libsvm: the first floor(nu*l) points get the
     //    box maximum, the next point absorbs the remainder so sum == 1.
@@ -100,14 +163,13 @@ void OneClassSvm::fit(const linalg::Matrix& data) {
         alpha[n_full] = 1.0 - static_cast<double>(n_full) * c;
     }
 
-    // Gradient g_i = (Q alpha)_i.
+    // Gradient g_i = (Q alpha)_i, accumulated column by column so each
+    // g_i still sums its terms in ascending j.
     std::vector<double> grad(l, 0.0);
-    for (std::size_t i = 0; i < l; ++i) {
-        double acc = 0.0;
-        for (std::size_t j = 0; j < l; ++j) {
-            if (alpha[j] != 0.0) acc += q(i, j) * alpha[j];
-        }
-        grad[i] = acc;
+    for (std::size_t j = 0; j < l; ++j) {
+        if (alpha[j] == 0.0) continue;
+        const double* qj = q.column(j);
+        for (std::size_t i = 0; i < l; ++i) grad[i] += qj[i] * alpha[j];
     }
 
     // 5. SMO with maximal-violating-pair selection.
@@ -131,7 +193,9 @@ void OneClassSvm::fit(const linalg::Matrix& data) {
         if (bi == l || bj == l || gj - gi < opts_.tolerance) break;
 
         // Analytic step along e_i - e_j, clipped to the box.
-        double eta = q(bi, bi) + q(bj, bj) - 2.0 * q(bi, bj);
+        const double* qi = q.column(bi);
+        const double* qj = q.column(bj);
+        double eta = qi[bi] + qj[bj] - 2.0 * qj[bi];
         if (eta <= 1e-15) eta = 1e-15;
         double step = (gj - gi) / eta;
         step = std::min(step, c - alpha[bi]);
@@ -141,9 +205,12 @@ void OneClassSvm::fit(const linalg::Matrix& data) {
         alpha[bi] += step;
         alpha[bj] -= step;
         for (std::size_t t = 0; t < l; ++t) {
-            grad[t] += step * (q(t, bi) - q(t, bj));
+            grad[t] += step * (qi[t] - qj[t]);
         }
     }
+    obs::Registry::global().work_add(
+        "work.svm.gram_cells",
+        static_cast<double>(q.computed()) * static_cast<double>(l));
 
     // 6. rho: average gradient over free support vectors, with a bound-based
     //    fallback when none are free.

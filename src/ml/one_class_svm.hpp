@@ -9,10 +9,13 @@
 ///     min_alpha  1/2 alpha^T Q alpha
 ///     s.t.       0 <= alpha_i <= 1/(nu l),   sum_i alpha_i = 1,
 /// with Q_ij = k(x_i, x_j), is solved by SMO with maximal-violating-pair
-/// working-set selection and a dense kernel cache. Training sets beyond
+/// working-set selection over a per-fit kernel column cache: column j of Q
+/// is evaluated the first time SMO reads it, and SMO reads only a few
+/// hundred of the l columns. The columns share one l x l block whose pages
+/// become resident only as columns are written. Training sets beyond
 /// `Options::max_training_samples` are uniformly subsampled first — the
 /// tail-enhanced populations (10^5 KDE draws) are i.i.d., so a uniform
-/// subsample is an unbiased surrogate at a fraction of the O(n^2) memory.
+/// subsample is an unbiased surrogate at a fraction of the cost.
 
 #include <cstdint>
 #include <optional>
@@ -49,7 +52,8 @@ public:
         std::size_t max_iterations = 2'000'000;
 
         /// Subsample cap: training sets larger than this are uniformly
-        /// subsampled to keep the dense Gram matrix tractable.
+        /// subsampled, which bounds the column cache at l^2 cells and each
+        /// kernel column at l evaluations.
         std::size_t max_training_samples = 2000;
 
         /// Seed for the subsampling permutation.

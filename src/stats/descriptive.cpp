@@ -31,13 +31,18 @@ double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 double quantile(std::span<const double> xs, double q) {
     if (xs.empty()) throw std::invalid_argument("quantile: empty sample");
     if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q outside [0,1]");
-    std::vector<double> sorted(xs.begin(), xs.end());
-    std::sort(sorted.begin(), sorted.end());
-    const double pos = q * static_cast<double>(sorted.size() - 1);
+    // Only the order statistics at lo and lo + 1 are needed: select lo,
+    // then the smallest of the (all >= it) elements behind it.
+    std::vector<double> v(xs.begin(), xs.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
     const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const auto at_lo = v.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(v.begin(), at_lo, v.end());
+    const double lo_value = *at_lo;
+    const double hi_value = lo + 1 < v.size() ? *std::min_element(at_lo + 1, v.end())
+                                              : lo_value;
     const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+    return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
 double pearson_correlation(std::span<const double> xs, std::span<const double> ys) {

@@ -285,17 +285,19 @@ double AdaptiveKde::density(const linalg::Vector& x) const {
     return acc.value() / static_cast<double>(m) / pilot_.jacobian_;  // Eq. (7)
 }
 
-linalg::Vector AdaptiveKde::sample(rng::Rng& rng) const {
-    const std::size_t d = dim();
+void AdaptiveKde::draw(rng::Rng& rng, std::span<double> out) const {
     const std::size_t i = rng.uniform_index(observation_count());
-    std::vector<double> disp(d);
-    pilot_.kernel_->sample(rng, disp);
+    pilot_.kernel_->sample(rng, out);  // kernel displacement, scaled in place below
     const double hi = pilot_.bandwidth() * lambda_[i];
     const auto row = pilot_.std_data_.row_span(i);
-    linalg::Vector out(d);
-    for (std::size_t c = 0; c < d; ++c) {
-        out[c] = (row[c] + hi * disp[c]) * pilot_.col_scale_[c] + pilot_.col_mean_[c];
+    for (std::size_t c = 0; c < out.size(); ++c) {
+        out[c] = (row[c] + hi * out[c]) * pilot_.col_scale_[c] + pilot_.col_mean_[c];
     }
+}
+
+linalg::Vector AdaptiveKde::sample(rng::Rng& rng) const {
+    linalg::Vector out(dim());
+    draw(rng, out.span());
     return out;
 }
 
@@ -305,7 +307,7 @@ linalg::Matrix AdaptiveKde::sample_n(rng::Rng& rng, std::size_t n) const {
     span.attr("dim", static_cast<double>(dim()));
     span.attr("observations", static_cast<double>(observation_count()));
     linalg::Matrix out(n, dim());
-    for (std::size_t i = 0; i < n; ++i) out.set_row(i, sample(rng));
+    for (std::size_t i = 0; i < n; ++i) draw(rng, out.row_span(i));
     obs::Registry::global().counter_add("kde.samples_drawn", static_cast<double>(n));
     obs::Registry::global().work_add("work.kde.samples_drawn", static_cast<double>(n));
     return out;

@@ -20,6 +20,7 @@
 /// space with the correct Jacobian factor.
 
 #include <memory>
+#include <span>
 
 #include "linalg/matrix.hpp"
 #include "rng/rng.hpp"
@@ -181,6 +182,9 @@ public:
 private:
     /// Uninitialized shell for from_state.
     AdaptiveKde() : alpha_(0.5) {}
+
+    /// One draw of sample(), written into `out` (length dim()).
+    void draw(rng::Rng& rng, std::span<double> out) const;
 
     Kde pilot_;
     double alpha_;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <unistd.h>
@@ -21,6 +22,7 @@
 #include "pipeline/artifact_fault.hpp"
 #include "pipeline/experiment.hpp"
 #include "pipeline/scorer.hpp"
+#include "score_cli.hpp"
 
 namespace {
 
@@ -291,6 +293,38 @@ TEST_P(ArtifactFaultSweep, EveryCorruptionIsRejectedOrSurvivedLoudly) {
         }
     }
     std::filesystem::remove(path);
+}
+
+/// FNV-1a 64-bit hash of a byte string.
+std::uint64_t fnv1a64(const std::string& bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char ch : bytes) {
+        h ^= ch;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(ArtifactCalibrationPin, CalibrateSeed7Synthetic20kIsByteStable) {
+    // `htd_score calibrate --seed 7 --synthetic 20000` must keep writing
+    // exactly these artifact bytes: any change to the calibration numerics
+    // (KDE draws, SVM training, KMM, MARS) moves this hash. Re-pin only
+    // with a stated reason for the change in calibration output.
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("htd_artifact_pin_" + std::to_string(::getpid()) + ".json"))
+            .string();
+    const char* argv[] = {"htd_score", "calibrate", "--seed", "7",
+                          "--synthetic", "20000", "--artifact", path.c_str()};
+    ASSERT_EQ(score_cli::run(8, argv), score_cli::kExitClean);
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.is_open());
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    in.close();
+    std::filesystem::remove(path);
+    EXPECT_EQ(bytes.size(), 179895U);
+    EXPECT_EQ(fnv1a64(bytes), 0x292a357890ba5bd6ULL);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -97,21 +97,6 @@ TEST(Kernels, RbfRejectsBadGamma) {
     EXPECT_THROW((void)htd::ml::rbf_kernel(-1.0), std::invalid_argument);
 }
 
-TEST(Kernels, LinearIsDotProduct) {
-    const KernelFn k = htd::ml::linear_kernel();
-    const double a[] = {1.0, 2.0};
-    const double b[] = {3.0, 4.0};
-    EXPECT_DOUBLE_EQ(k(a, b), 11.0);
-}
-
-TEST(Kernels, PolynomialKnownValue) {
-    const KernelFn k = htd::ml::polynomial_kernel(2, 1.0, 1.0);
-    const double a[] = {1.0};
-    const double b[] = {2.0};
-    EXPECT_DOUBLE_EQ(k(a, b), 9.0);  // (2 + 1)^2
-    EXPECT_THROW((void)htd::ml::polynomial_kernel(0), std::invalid_argument);
-}
-
 TEST(Kernels, DimMismatchThrows) {
     const KernelFn k = htd::ml::rbf_kernel(1.0);
     const double a[] = {1.0};
@@ -148,15 +133,6 @@ TEST(Kernels, GramMatrixSymmetricPsdDiagonalOnes) {
     // PSD check via eigenvalues.
     const auto eig = htd::linalg::symmetric_eigen(g);
     EXPECT_GE(eig.values[19], -1e-9);
-}
-
-TEST(Kernels, CrossGramShape) {
-    Matrix a(3, 2, 1.0);
-    Matrix b(5, 2, 2.0);
-    const Matrix g = gram_matrix(htd::ml::linear_kernel(), a, b);
-    EXPECT_EQ(g.rows(), 3u);
-    EXPECT_EQ(g.cols(), 5u);
-    EXPECT_DOUBLE_EQ(g(0, 0), 4.0);
 }
 
 }  // namespace

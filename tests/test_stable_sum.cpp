@@ -194,16 +194,16 @@ TEST_F(WorkProfilePinTest, AdaptiveKdeBuildReproducesPinnedProfile) {
 
 TEST_F(WorkProfilePinTest, OneClassSvmFitReproducesPinnedProfile) {
     // work_profile's OneClassSvmFit points: gaussian_cloud(n, 6, 4). The
-    // Gram-cell count is structural; the SMO iteration count is the
-    // sensitive pin — it moves if the Gram values (now reduced through
-    // StableAccumulator) change at all.
+    // Gram-cell count is the kernel cells actually evaluated (columns SMO
+    // read x l); the SMO iteration count is the sensitive pin — it moves if
+    // the Gram values change at all.
     const struct {
         std::size_t n;
         double gram_cells;
         double smo_iterations;
     } kCases[] = {
-        {100, 10000.0, 29.0},
-        {500, 250000.0, 39.0},
+        {100, 1500.0, 29.0},
+        {500, 25500.0, 39.0},
     };
     for (const auto& c : kCases) {
         htd::obs::Registry::global().reset();
@@ -213,6 +213,18 @@ TEST_F(WorkProfilePinTest, OneClassSvmFitReproducesPinnedProfile) {
         EXPECT_EQ(work("work.svm.smo_iterations"), c.smo_iterations)
             << "n=" << c.n;
     }
+}
+
+TEST(OneClassSvmPin, SubsampledFitReproducesPinnedSolution) {
+    // 2500 rows exceed the 2000-row cap, so this runs the subsample
+    // permutation, the strided median heuristic and the column cache at
+    // paper scale. rho and gamma are pinned bit-for-bit.
+    htd::ml::OneClassSvm svm;
+    svm.fit(gaussian_cloud(2500, 6, 4));
+    EXPECT_EQ(svm.effective_gamma(), 0x1.8019fd7ffddcbp-5);
+    EXPECT_EQ(svm.rho(), 0x1.40898eeecd26ap-2);
+    EXPECT_EQ(svm.iterations_used(), 111U);
+    EXPECT_EQ(svm.support_vector_count(), 104U);
 }
 
 TEST_F(WorkProfilePinTest, KmmSolveReproducesPinnedProfile) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -40,6 +41,57 @@ TEST(Descriptive, QuantileInterpolates) {
     EXPECT_DOUBLE_EQ(htd::stats::quantile(xs, 1.0), 10.0);
     EXPECT_DOUBLE_EQ(htd::stats::quantile(xs, 0.25), 2.5);
     EXPECT_THROW((void)htd::stats::quantile(xs, 1.5), std::invalid_argument);
+}
+
+/// Sort-based reference for quantile's order-statistic selection.
+double sorted_quantile(std::vector<double> xs, double q) {
+    std::sort(xs.begin(), xs.end());
+    const double pos = q * static_cast<double>(xs.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+TEST(Descriptive, QuantileSelectionMatchesSortOnRandomSamples) {
+    htd::rng::Rng rng(31);
+    for (const std::size_t n : {1U, 2U, 3U, 10U, 11U, 100U, 101U, 1000U}) {
+        std::vector<double> xs(n);
+        for (double& x : xs) x = rng.normal();
+        for (const double q : {0.0, 0.5, 0.9, 1.0, 0.25, 0.999}) {
+            // No ties, so both pick bit-identical order statistics.
+            EXPECT_EQ(htd::stats::quantile(xs, q), sorted_quantile(xs, q))
+                << "n=" << n << " q=" << q;
+        }
+    }
+}
+
+TEST(Descriptive, QuantileSelectionMatchesSortWithTies) {
+    // Heavy ties, including +0 and -0: compared by value, since which of
+    // two equal zeros lands at an order position is up to the algorithm.
+    const std::vector<std::vector<double>> samples = {
+        {2.0, 2.0, 2.0, 1.0, 1.0, 3.0, 3.0},
+        {0.0, -0.0, 0.0, -0.0, 1.0, -1.0},
+        {-0.0, 0.0, 5.0},
+        {4.0},
+        {-0.0},
+        {7.0, 7.0},
+    };
+    for (const auto& xs : samples) {
+        for (const double q : {0.0, 0.5, 0.9, 1.0}) {
+            const double got = htd::stats::quantile(xs, q);
+            const double want = sorted_quantile(xs, q);
+            EXPECT_TRUE(got == want) << "size=" << xs.size() << " q=" << q
+                                     << " got=" << got << " want=" << want;
+        }
+    }
+}
+
+TEST(Descriptive, QuantileLeavesInputUntouched) {
+    const std::vector<double> xs{5.0, 1.0, 4.0, 2.0, 3.0};
+    const std::vector<double> copy = xs;
+    EXPECT_EQ(htd::stats::quantile(xs, 0.5), 3.0);
+    EXPECT_EQ(xs, copy);
 }
 
 TEST(Descriptive, PearsonCorrelation) {
