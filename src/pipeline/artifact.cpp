@@ -2,12 +2,15 @@
 
 #include <cerrno>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -24,92 +27,6 @@ namespace {
 
 std::size_t index_of(Boundary b) { return static_cast<std::size_t>(b); }
 
-// --- small JSON (de)serialization helpers ----------------------------------
-//
-// Decoders throw std::invalid_argument with a local message; the section
-// dispatcher wraps them into ArtifactError with the section name attached.
-
-io::Json json_from_vector(const linalg::Vector& v) { return io::Json::from(v); }
-
-io::Json json_from_matrix(const linalg::Matrix& m) { return io::Json::from(m); }
-
-double expect_number(const io::Json& j, const char* what) {
-    if (!j.is_number()) {
-        throw std::invalid_argument(std::string(what) + ": expected a number");
-    }
-    return j.number();
-}
-
-bool expect_bool(const io::Json& j, const char* what) {
-    if (!j.is_bool()) {
-        throw std::invalid_argument(std::string(what) + ": expected a boolean");
-    }
-    return j.boolean();
-}
-
-const std::string& expect_string(const io::Json& j, const char* what) {
-    if (!j.is_string()) {
-        throw std::invalid_argument(std::string(what) + ": expected a string");
-    }
-    return j.str();
-}
-
-const io::Json& expect_member(const io::Json& j, const std::string& key,
-                              const char* what) {
-    if (!j.is_object() || !j.contains(key)) {
-        throw std::invalid_argument(std::string(what) + ": missing member '" +
-                                    key + "'");
-    }
-    return j.at(key);
-}
-
-std::size_t expect_size(const io::Json& j, const char* what) {
-    const double v = expect_number(j, what);
-    if (!(v >= 0.0) || v != std::floor(v)) {
-        throw std::invalid_argument(std::string(what) +
-                                    ": expected a non-negative integer");
-    }
-    return static_cast<std::size_t>(v);
-}
-
-linalg::Vector vector_from_json(const io::Json& j, const char* what) {
-    if (!j.is_array()) {
-        throw std::invalid_argument(std::string(what) + ": expected an array");
-    }
-    linalg::Vector v(j.size());
-    for (std::size_t i = 0; i < j.size(); ++i) {
-        v[i] = expect_number(j.at(i), what);
-    }
-    return v;
-}
-
-linalg::Matrix matrix_from_json(const io::Json& j, const char* what) {
-    if (!j.is_array()) {
-        throw std::invalid_argument(std::string(what) +
-                                    ": expected an array of rows");
-    }
-    const std::size_t rows = j.size();
-    if (rows == 0) return linalg::Matrix{};
-    const io::Json& first = j.at(std::size_t{0});
-    if (!first.is_array()) {
-        throw std::invalid_argument(std::string(what) +
-                                    ": expected an array of rows");
-    }
-    const std::size_t cols = first.size();
-    linalg::Matrix m(rows, cols);
-    for (std::size_t r = 0; r < rows; ++r) {
-        const io::Json& row = j.at(r);
-        if (!row.is_array() || row.size() != cols) {
-            throw std::invalid_argument(std::string(what) + ": ragged row " +
-                                        std::to_string(r));
-        }
-        for (std::size_t c = 0; c < cols; ++c) {
-            m(r, c) = expect_number(row.at(c), what);
-        }
-    }
-    return m;
-}
-
 std::string hex_u64(std::uint64_t v) {
     static const char* digits = "0123456789abcdef";
     std::string out(16, '0');
@@ -120,286 +37,468 @@ std::string hex_u64(std::uint64_t v) {
     return out;
 }
 
-std::uint64_t parse_hex_u64(const std::string& s, const char* what) {
-    if (s.empty() || s.size() > 16) {
-        throw std::invalid_argument(std::string(what) +
-                                    ": expected up to 16 hex digits");
-    }
-    std::uint64_t v = 0;
+/// Parses up to 16 lowercase hex digits into `out`; returns why the text is
+/// not that, or nullptr.
+const char* parse_hex_u64(const std::string& s, std::uint64_t& out) {
+    if (s.empty() || s.size() > 16) return "expected up to 16 hex digits";
+    out = 0;
     for (const char c : s) {
-        v <<= 4;
+        out <<= 4;
         if (c >= '0' && c <= '9') {
-            v |= static_cast<std::uint64_t>(c - '0');
+            out |= static_cast<std::uint64_t>(c - '0');
         } else if (c >= 'a' && c <= 'f') {
-            v |= static_cast<std::uint64_t>(c - 'a' + 10);
+            out |= static_cast<std::uint64_t>(c - 'a' + 10);
         } else {
-            throw std::invalid_argument(std::string(what) +
-                                        ": invalid hex digit");
+            return "invalid hex digit";
         }
     }
-    return v;
+    return nullptr;
 }
 
-std::string kernel_name(stats::KernelType k) {
-    switch (k) {
-        case stats::KernelType::kEpanechnikov: return "epanechnikov";
-        case stats::KernelType::kGaussian: return "gaussian";
+/// One name table per persisted enum, read by the encoder (value -> name)
+/// and by the decoder (name -> value, "unknown <noun> '<name>'" on a miss).
+template <class E>
+struct EnumNames {
+    const char* noun;
+    std::span<const std::pair<E, std::string_view>> names;
+};
+
+constexpr std::pair<stats::KernelType, std::string_view> kKernelNames[] = {
+    {stats::KernelType::kEpanechnikov, "epanechnikov"},
+    {stats::KernelType::kGaussian, "gaussian"}};
+constexpr std::pair<TailModel, std::string_view> kTailModelNames[] = {
+    {TailModel::kAdaptiveKde, "adaptive_kde"}, {TailModel::kEvtPot, "evt_pot"}};
+
+EnumNames<stats::KernelType> enum_names(stats::KernelType) {
+    return {"kernel type", kKernelNames};
+}
+EnumNames<TailModel> enum_names(TailModel) { return {"tail model", kTailModelNames}; }
+EnumNames<BoundaryHealth> enum_names(BoundaryHealth) {
+    return {"boundary health", kBoundaryHealthNames};
+}
+
+/// A 64-bit value persisted as 16 hex digits (a JSON number cannot hold it).
+template <class U>
+struct Hex {
+    U& value;
+};
+
+/// A double persisted as null when it is not finite and read back as NaN.
+template <class D>
+struct NullIfNotFinite {
+    D& value;
+};
+
+// --- one field list per persisted struct -----------------------------------
+//
+// `fields(v, obj)` names each JSON key and member once: a persisted field is
+// one line in one list, and since the Encoder and the Decoder below both run
+// over that list, encode and decode cannot disagree. In a list,
+//   v.context(label[, naming])  labels this struct's decode errors;
+//   v(key, member[, when])      is one field: when `when` is false the
+//                               encoder writes null and the decoder
+//                               requires the key but skips its value.
+// io::Json objects keep their members sorted, so list order only sets the
+// order in which the decoder checks fields.
+
+template <class T, class U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
+
+/// What a decode error names: "<context>.<key>", the context, or the key.
+enum class Naming { kQualified, kContext, kKey };
+
+void fields(auto& v, Is<ml::OneClassSvm::Options> auto& o) {
+    v.context("svm.opts");
+    v("nu", o.nu);
+    v("gamma", o.gamma);
+    v("gamma_scale", o.gamma_scale);
+    v("tolerance", o.tolerance);
+    v("max_iterations", o.max_iterations);
+    v("max_training_samples", o.max_training_samples);
+    v("subsample_seed", Hex{o.subsample_seed});
+    v("whiten", o.whiten);
+    v("whiten_floor", o.whiten_floor);
+}
+
+void fields(auto& v, Is<ml::OneClassSvm::State> auto& s) {
+    v.context("svm");
+    v("opts", s.opts);
+    v("fitted", s.fitted);
+    v("input_mean", s.input_mean);
+    v("input_transform", s.input_transform);
+    v("support_vectors", s.support_vectors);
+    v("alpha", s.alpha);
+    v("rho", s.rho);
+    v("gamma", s.gamma);
+    v("iterations", s.iterations);
+}
+
+void fields(auto& v, Is<ml::Mars::Options> auto& o) {
+    v.context("mars.opts");
+    v("max_terms", o.max_terms);
+    v("max_degree", o.max_degree);
+    v("penalty", o.penalty);
+    v("prune", o.prune);
+    v("max_knots_per_variable", o.max_knots_per_variable);
+    v("min_relative_improvement", o.min_relative_improvement);
+}
+
+void fields(auto& v, Is<ml::HingeFactor> auto& f) {
+    v.context("mars.factor", Naming::kContext);
+    v("variable", f.variable);
+    v("knot", f.knot);
+    v("positive", f.positive);
+}
+
+void fields(auto& v, Is<ml::Mars::State> auto& s) {
+    v.context("mars");
+    v("opts", s.opts);
+    v("fitted", s.fitted);
+    v("input_dim", s.input_dim);
+    v("terms", s.terms);  // a term is persisted as the array of its factors
+    v("coef", s.coef);
+    v("gcv", s.gcv);
+    v("r2", s.r2);
+}
+
+void fields(auto& v, Is<ml::MarsBank::State> auto& s) {
+    v.context("mars");
+    v("opts", s.opts);
+    v("models", s.models);
+}
+
+void fields(auto& v, Is<stats::Kde::State> auto& s) {
+    v.context("kde.pilot");
+    v("std_data", s.std_data);
+    v("col_mean", s.col_mean);
+    v("col_scale", s.col_scale);
+    v("h", s.h);
+    v("jacobian", s.jacobian);
+    v("kernel", s.kernel);
+}
+
+void fields(auto& v, Is<stats::AdaptiveKde::State> auto& s) {
+    v.context("kde");
+    v("pilot", s.pilot);
+    v("alpha", s.alpha);
+    v("g", s.g);
+    v("lambda", s.lambda);
+}
+
+void fields(auto& v, Is<ArtifactKmmRecord> auto& k) {
+    v.context("kmm");
+    v("present", k.present);
+    v("weights", k.weights, k.present);
+    v("total_shift", k.total_shift, k.present);
+    v("iterations", k.iterations);
+    v("effective_sample_size", NullIfNotFinite{k.effective_sample_size});
+    v("fallback_applied", k.fallback_applied);
+}
+
+void fields(auto& v, Is<ArtifactProvenance> auto& p) {
+    v.context("provenance");
+    v("seed", Hex{p.seed});
+    v("config_hash", p.config_hash);
+    v("tool", p.tool);
+}
+
+/// One entry of the status section; `boundary` must name its slot.
+struct StatusEntry {
+    std::string boundary;
+    BoundaryStatus status;
+};
+
+void fields(auto& v, Is<StatusEntry> auto& e) {
+    v.context("status");
+    v("boundary", e.boundary);
+    v("health", e.status.health);
+    v("detail", e.status.detail);
+}
+
+/// The kde section, over the artifact's own S2/S5 tail-estimator states
+/// (null under the EVT tail model).
+template <class Opt>
+struct KdeTails {
+    Opt& s2;
+    Opt& s5;
+};
+
+template <class Opt>
+void fields(auto& v, const KdeTails<Opt>& k) {
+    v.context("kde");
+    v("s2", k.s2);
+    v("s5", k.s5);
+}
+
+/// One boundary.Bk section. Only a boundary its status calls usable has its
+/// SVM read; the others persist a null model.
+struct BoundaryEntry {
+    std::string section;  ///< "boundary.Bk"; not persisted
+    bool usable = false;  ///< from the status section; not persisted
+    std::size_t fingerprint_dim = 0;
+    std::optional<ml::OneClassSvm::State> svm;
+};
+
+void fields(auto& v, Is<BoundaryEntry> auto& e) {
+    v.context(e.section.c_str(), Naming::kKey);
+    v("fingerprint_dim", e.fingerprint_dim);
+    v("svm", e.svm, e.usable);
+}
+
+// The canonical config is only ever encoded: the artifact stores the config
+// document verbatim and checks its fingerprint.
+
+void fields(auto& v, Is<ml::KernelMeanMatching::Options> auto& o) {
+    v("weight_bound", o.weight_bound);
+    v("epsilon", o.epsilon);
+    v("gamma", o.gamma);
+    v("max_iterations", o.max_iterations);
+    v("tolerance", o.tolerance);
+}
+
+void fields(auto& v, Is<ml::KernelMeanShiftCalibrator::Options> auto& o) {
+    v("kmm", o.kmm);
+    v("max_shift_iterations", o.max_shift_iterations);
+    v("shift_tolerance", o.shift_tolerance);
+}
+
+void fields(auto& v, Is<PipelineConfig> auto& c) {
+    v("monte_carlo_samples", c.monte_carlo_samples);
+    v("synthetic_samples", c.synthetic_samples);
+    v("kde_alpha", c.kde_alpha);
+    v("kde_bandwidth", c.kde_bandwidth);
+    v("kde_max_lambda", c.kde_max_lambda);
+    v("kde_kernel", c.kde_kernel);
+    v("tail_model", c.tail_model);
+    v("evt_tail_fraction", c.evt_tail_fraction);
+    v("log_transform_pcm", c.log_transform_pcm);
+    v("mars", c.mars);
+    v("svm", c.svm);
+    v("calibration", c.calibration);
+    v("kmm_min_effective_sample_size", c.kmm_min_effective_sample_size);
+    v("kmm_fallback_to_b3", c.kmm_fallback_to_b3);
+}
+
+// --- the two visitors -------------------------------------------------------
+
+class Encoder {
+public:
+    void context(const char* /*label*/, Naming /*naming*/ = Naming::kQualified) {}
+
+    template <class T>
+    void operator()(const char* key, const T& field, bool when = true) {
+        out_.set(key, when ? encode(field) : io::Json());
     }
-    throw std::invalid_argument("kernel_name: unknown kernel type");
-}
 
-stats::KernelType kernel_from_name(const std::string& name) {
-    if (name == "epanechnikov") return stats::KernelType::kEpanechnikov;
-    if (name == "gaussian") return stats::KernelType::kGaussian;
-    throw std::invalid_argument("unknown kernel type '" + name + "'");
-}
-
-std::string tail_model_name(TailModel m) {
-    switch (m) {
-        case TailModel::kAdaptiveKde: return "adaptive_kde";
-        case TailModel::kEvtPot: return "evt_pot";
+    static io::Json encode(double v) { return v; }
+    static io::Json encode(bool v) { return v; }
+    static io::Json encode(std::size_t v) { return v; }
+    static io::Json encode(const std::string& v) { return v; }
+    static io::Json encode(const linalg::Vector& v) { return io::Json::from(v); }
+    static io::Json encode(const linalg::Matrix& m) { return io::Json::from(m); }
+    static io::Json encode(const ml::BasisTerm& t) { return encode(t.factors); }
+    template <class U>
+    static io::Json encode(const Hex<U>& h) { return hex_u64(h.value); }
+    template <class D>
+    static io::Json encode(const NullIfNotFinite<D>& d) {
+        return std::isfinite(d.value) ? io::Json(d.value) : io::Json();
     }
-    throw std::invalid_argument("tail_model_name: unknown tail model");
-}
-
-BoundaryHealth health_from_name(const std::string& name) {
-    if (name == "untrained") return BoundaryHealth::kUntrained;
-    if (name == "healthy") return BoundaryHealth::kHealthy;
-    if (name == "degraded") return BoundaryHealth::kDegraded;
-    if (name == "failed") return BoundaryHealth::kFailed;
-    throw std::invalid_argument("unknown boundary health '" + name + "'");
-}
-
-// --- model-state codecs -----------------------------------------------------
-
-io::Json svm_state_to_json(const ml::OneClassSvm::State& s) {
-    io::Json opts = io::Json::object();
-    opts.set("nu", s.opts.nu);
-    opts.set("gamma", s.opts.gamma);
-    opts.set("gamma_scale", s.opts.gamma_scale);
-    opts.set("tolerance", s.opts.tolerance);
-    opts.set("max_iterations", s.opts.max_iterations);
-    opts.set("max_training_samples", s.opts.max_training_samples);
-    opts.set("subsample_seed", hex_u64(s.opts.subsample_seed));
-    opts.set("whiten", s.opts.whiten);
-    opts.set("whiten_floor", s.opts.whiten_floor);
-
-    io::Json j = io::Json::object();
-    j.set("opts", std::move(opts));
-    j.set("fitted", s.fitted);
-    j.set("input_mean", json_from_vector(s.input_mean));
-    j.set("input_transform", json_from_matrix(s.input_transform));
-    j.set("support_vectors", json_from_matrix(s.support_vectors));
-    io::Json alpha = io::Json::array();
-    for (const double a : s.alpha) alpha.push_back(a);
-    j.set("alpha", std::move(alpha));
-    j.set("rho", s.rho);
-    j.set("gamma", s.gamma);
-    j.set("iterations", s.iterations);
-    return j;
-}
-
-ml::OneClassSvm::State svm_state_from_json(const io::Json& j) {
-    ml::OneClassSvm::State s;
-    const io::Json& opts = expect_member(j, "opts", "svm");
-    s.opts.nu = expect_number(expect_member(opts, "nu", "svm.opts"), "svm.opts.nu");
-    s.opts.gamma =
-        expect_number(expect_member(opts, "gamma", "svm.opts"), "svm.opts.gamma");
-    s.opts.gamma_scale = expect_number(expect_member(opts, "gamma_scale", "svm.opts"),
-                                       "svm.opts.gamma_scale");
-    s.opts.tolerance = expect_number(expect_member(opts, "tolerance", "svm.opts"),
-                                     "svm.opts.tolerance");
-    s.opts.max_iterations = expect_size(
-        expect_member(opts, "max_iterations", "svm.opts"), "svm.opts.max_iterations");
-    s.opts.max_training_samples =
-        expect_size(expect_member(opts, "max_training_samples", "svm.opts"),
-                    "svm.opts.max_training_samples");
-    s.opts.subsample_seed = parse_hex_u64(
-        expect_string(expect_member(opts, "subsample_seed", "svm.opts"),
-                      "svm.opts.subsample_seed"),
-        "svm.opts.subsample_seed");
-    s.opts.whiten =
-        expect_bool(expect_member(opts, "whiten", "svm.opts"), "svm.opts.whiten");
-    s.opts.whiten_floor = expect_number(
-        expect_member(opts, "whiten_floor", "svm.opts"), "svm.opts.whiten_floor");
-
-    s.fitted = expect_bool(expect_member(j, "fitted", "svm"), "svm.fitted");
-    s.input_mean =
-        vector_from_json(expect_member(j, "input_mean", "svm"), "svm.input_mean");
-    s.input_transform = matrix_from_json(expect_member(j, "input_transform", "svm"),
-                                         "svm.input_transform");
-    s.support_vectors = matrix_from_json(expect_member(j, "support_vectors", "svm"),
-                                         "svm.support_vectors");
-    const io::Json& alpha = expect_member(j, "alpha", "svm");
-    if (!alpha.is_array()) {
-        throw std::invalid_argument("svm.alpha: expected an array");
+    template <class T>
+    static io::Json encode(const std::optional<T>& o) {
+        return o.has_value() ? encode(*o) : io::Json();
     }
-    s.alpha.resize(alpha.size());
-    for (std::size_t i = 0; i < alpha.size(); ++i) {
-        s.alpha[i] = expect_number(alpha.at(i), "svm.alpha");
-    }
-    s.rho = expect_number(expect_member(j, "rho", "svm"), "svm.rho");
-    s.gamma = expect_number(expect_member(j, "gamma", "svm"), "svm.gamma");
-    s.iterations =
-        expect_size(expect_member(j, "iterations", "svm"), "svm.iterations");
-    return s;
-}
 
-io::Json mars_opts_to_json(const ml::Mars::Options& o) {
-    io::Json opts = io::Json::object();
-    opts.set("max_terms", o.max_terms);
-    opts.set("max_degree", o.max_degree);
-    opts.set("penalty", o.penalty);
-    opts.set("prune", o.prune);
-    opts.set("max_knots_per_variable", o.max_knots_per_variable);
-    opts.set("min_relative_improvement", o.min_relative_improvement);
-    return opts;
-}
-
-ml::Mars::Options mars_opts_from_json(const io::Json& opts) {
-    ml::Mars::Options o;
-    o.max_terms = expect_size(expect_member(opts, "max_terms", "mars.opts"),
-                              "mars.opts.max_terms");
-    o.max_degree = expect_size(expect_member(opts, "max_degree", "mars.opts"),
-                               "mars.opts.max_degree");
-    o.penalty = expect_number(expect_member(opts, "penalty", "mars.opts"),
-                              "mars.opts.penalty");
-    o.prune =
-        expect_bool(expect_member(opts, "prune", "mars.opts"), "mars.opts.prune");
-    o.max_knots_per_variable =
-        expect_size(expect_member(opts, "max_knots_per_variable", "mars.opts"),
-                    "mars.opts.max_knots_per_variable");
-    o.min_relative_improvement = expect_number(
-        expect_member(opts, "min_relative_improvement", "mars.opts"),
-        "mars.opts.min_relative_improvement");
-    return o;
-}
-
-io::Json mars_state_to_json(const ml::Mars::State& s) {
-    io::Json terms = io::Json::array();
-    for (const ml::BasisTerm& term : s.terms) {
-        io::Json factors = io::Json::array();
-        for (const ml::HingeFactor& f : term.factors) {
-            io::Json factor = io::Json::object();
-            factor.set("variable", f.variable);
-            factor.set("knot", f.knot);
-            factor.set("positive", f.positive);
-            factors.push_back(std::move(factor));
+    template <class E>
+        requires std::is_enum_v<E>
+    static io::Json encode(const E& e) {
+        for (const auto& [value, name] : enum_names(e).names) {
+            if (value == e) return std::string(name);
         }
-        terms.push_back(std::move(factors));
+        throw std::invalid_argument(std::string("unknown ") + enum_names(e).noun);
     }
-    io::Json coef = io::Json::array();
-    for (const double c : s.coef) coef.push_back(c);
 
-    io::Json j = io::Json::object();
-    j.set("opts", mars_opts_to_json(s.opts));
-    j.set("fitted", s.fitted);
-    j.set("input_dim", s.input_dim);
-    j.set("terms", std::move(terms));
-    j.set("coef", std::move(coef));
-    j.set("gcv", s.gcv);
-    j.set("r2", s.r2);
-    return j;
+    template <class T>
+    static io::Json encode(const std::vector<T>& items) {
+        io::Json out = io::Json::array();
+        for (const T& item : items) out.push_back(encode(item));
+        return out;
+    }
+
+    /// Any struct with a field list.
+    template <class T>
+    static io::Json encode(const T& s) {
+        Encoder e;
+        fields(e, s);
+        return std::move(e.out_);
+    }
+
+private:
+    io::Json out_ = io::Json::object();
+};
+
+/// Where a decoded value sits, rendered only when a check fails: a clean
+/// decode builds no path string.
+struct Path {
+    const char* context = "";
+    const char* key = "";
+    Naming naming = Naming::kContext;
+
+    [[nodiscard]] std::string str() const {
+        if (naming == Naming::kContext) return context;
+        if (naming == Naming::kKey) return key;
+        return std::string(context) + "." + key;
+    }
+};
+
+/// Decode errors are std::invalid_argument with a local message; the
+/// section dispatcher wraps them into ArtifactError naming the section.
+[[noreturn]] void fail(const Path& p, const std::string& what) {
+    throw std::invalid_argument(p.str() + ": " + what);
 }
 
-ml::Mars::State mars_state_from_json(const io::Json& j) {
-    ml::Mars::State s;
-    s.opts = mars_opts_from_json(expect_member(j, "opts", "mars"));
-    s.fitted = expect_bool(expect_member(j, "fitted", "mars"), "mars.fitted");
-    s.input_dim =
-        expect_size(expect_member(j, "input_dim", "mars"), "mars.input_dim");
-    const io::Json& terms = expect_member(j, "terms", "mars");
-    if (!terms.is_array()) {
-        throw std::invalid_argument("mars.terms: expected an array");
+/// Sizes are JSON numbers (doubles): above 2^53 they are no longer exact
+/// integers and need not fit a std::size_t.
+constexpr double kMaxExactInteger = 9007199254740992.0;
+
+class Decoder {
+public:
+    explicit Decoder(const io::Json& obj) : obj_(obj) {}
+
+    void context(const char* label, Naming naming = Naming::kQualified) {
+        context_ = label;
+        naming_ = naming;
     }
-    s.terms.resize(terms.size());
-    for (std::size_t t = 0; t < terms.size(); ++t) {
-        const io::Json& factors = terms.at(t);
-        if (!factors.is_array()) {
-            throw std::invalid_argument("mars.terms: expected factor arrays");
+
+    template <class T>
+    void operator()(const char* key, T&& field, bool when = true) {
+        const io::Json& value = member(key);
+        if (when) read(value, field, {context_, key, naming_});
+    }
+
+    static void read(const io::Json& j, double& out, const Path& p) {
+        if (!j.is_number()) fail(p, "expected a number");
+        out = j.number();
+    }
+    static void read(const io::Json& j, bool& out, const Path& p) {
+        if (!j.is_bool()) fail(p, "expected a boolean");
+        out = j.boolean();
+    }
+    static void read(const io::Json& j, std::string& out, const Path& p) {
+        out = string_of(j, p);
+    }
+    static void read(const io::Json& j, std::size_t& out, const Path& p) {
+        double v = 0.0;
+        read(j, v, p);
+        if (!(v >= 0.0) || v != std::floor(v)) fail(p, "expected a non-negative integer");
+        if (v > kMaxExactInteger) fail(p, "integer exceeds 2^53");
+        out = static_cast<std::size_t>(v);
+    }
+    static void read(const io::Json& j, linalg::Vector& out, const Path& p) {
+        const std::vector<io::Json>& items = array_of(j, p, "expected an array");
+        out = linalg::Vector(items.size());
+        for (std::size_t i = 0; i < items.size(); ++i) read(items[i], out[i], p);
+    }
+    static void read(const io::Json& j, linalg::Matrix& out, const Path& p) {
+        const std::vector<io::Json>& rows = array_of(j, p, "expected an array of rows");
+        const std::size_t cols =
+            rows.empty() ? 0 : array_of(rows[0], p, "expected an array of rows").size();
+        out = rows.empty() ? linalg::Matrix{} : linalg::Matrix(rows.size(), cols);
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+            if (!rows[r].is_array() || rows[r].size() != cols) {
+                fail(p, "ragged row " + std::to_string(r));
+            }
+            const std::vector<io::Json>& row = rows[r].elements();
+            for (std::size_t c = 0; c < cols; ++c) read(row[c], out(r, c), p);
         }
-        s.terms[t].factors.resize(factors.size());
-        for (std::size_t f = 0; f < factors.size(); ++f) {
-            const io::Json& factor = factors.at(f);
-            s.terms[t].factors[f].variable = expect_size(
-                expect_member(factor, "variable", "mars.factor"), "mars.factor");
-            s.terms[t].factors[f].knot = expect_number(
-                expect_member(factor, "knot", "mars.factor"), "mars.factor");
-            s.terms[t].factors[f].positive = expect_bool(
-                expect_member(factor, "positive", "mars.factor"), "mars.factor");
+    }
+    static void read(const io::Json& j, ml::BasisTerm& out, const Path& p) {
+        const std::vector<io::Json>& factors = array_of(j, p, "expected factor arrays");
+        out.factors.resize(factors.size());
+        for (std::size_t i = 0; i < factors.size(); ++i) read(factors[i], out.factors[i], p);
+    }
+    template <class U>
+    static void read(const io::Json& j, Hex<U>& out, const Path& p) {
+        if (const char* why = parse_hex_u64(string_of(j, p), out.value)) fail(p, why);
+    }
+    template <class D>
+    static void read(const io::Json& j, NullIfNotFinite<D>& out, const Path& p) {
+        if (j.is_null()) {
+            out.value = std::numeric_limits<double>::quiet_NaN();
+        } else {
+            read(j, out.value, p);
         }
     }
-    const io::Json& coef = expect_member(j, "coef", "mars");
-    if (!coef.is_array()) {
-        throw std::invalid_argument("mars.coef: expected an array");
+    template <class T>
+    static void read(const io::Json& j, std::optional<T>& out, const Path& p) {
+        if (j.is_null()) {
+            out.reset();
+        } else {
+            read(j, out.emplace(), p);
+        }
     }
-    s.coef.resize(coef.size());
-    for (std::size_t i = 0; i < coef.size(); ++i) {
-        s.coef[i] = expect_number(coef.at(i), "mars.coef");
+
+    template <class E>
+        requires std::is_enum_v<E>
+    static void read(const io::Json& j, E& out, const Path& p) {
+        const std::string& name = string_of(j, p);
+        for (const auto& [value, n] : enum_names(out).names) {
+            if (n == name) {
+                out = value;
+                return;
+            }
+        }
+        throw std::invalid_argument("unknown " + std::string(enum_names(out).noun) +
+                                    " '" + name + "'");
     }
-    s.gcv = expect_number(expect_member(j, "gcv", "mars"), "mars.gcv");
-    s.r2 = expect_number(expect_member(j, "r2", "mars"), "mars.r2");
-    return s;
+
+    template <class T>
+    static void read(const io::Json& j, std::vector<T>& out, const Path& p) {
+        const std::vector<io::Json>& items = array_of(j, p, "expected an array");
+        out.resize(items.size());
+        for (std::size_t i = 0; i < items.size(); ++i) read(items[i], out[i], p);
+    }
+
+    /// Any struct with a field list; its errors carry its own context.
+    template <class T>
+    static void read(const io::Json& j, T& out, const Path& /*p*/) {
+        Decoder d(j);
+        fields(d, out);
+    }
+
+private:
+    const io::Json& member(const char* key) const {
+        if (obj_.is_object()) {
+            const auto it = obj_.members().find(key);
+            if (it != obj_.members().end()) return it->second;
+        }
+        throw std::invalid_argument(std::string(context_) + ": missing member '" +
+                                    key + "'");
+    }
+
+    static const std::string& string_of(const io::Json& j, const Path& p) {
+        if (!j.is_string()) fail(p, "expected a string");
+        return j.str();
+    }
+
+    static const std::vector<io::Json>& array_of(const io::Json& j, const Path& p,
+                                                 const char* what) {
+        if (!j.is_array()) fail(p, what);
+        return j.elements();
+    }
+
+    const io::Json& obj_;
+    const char* context_ = "";
+    Naming naming_ = Naming::kQualified;
+};
+
+template <class T>
+io::Json encode(const T& s) {
+    return Encoder::encode(s);
 }
 
-io::Json kde_state_to_json(const stats::AdaptiveKde::State& s) {
-    io::Json pilot = io::Json::object();
-    pilot.set("std_data", json_from_matrix(s.pilot.std_data));
-    pilot.set("col_mean", json_from_vector(s.pilot.col_mean));
-    pilot.set("col_scale", json_from_vector(s.pilot.col_scale));
-    pilot.set("h", s.pilot.h);
-    pilot.set("jacobian", s.pilot.jacobian);
-    pilot.set("kernel", kernel_name(s.pilot.kernel));
-
-    io::Json lambda = io::Json::array();
-    for (const double l : s.lambda) lambda.push_back(l);
-
-    io::Json j = io::Json::object();
-    j.set("pilot", std::move(pilot));
-    j.set("alpha", s.alpha);
-    j.set("g", s.g);
-    j.set("lambda", std::move(lambda));
-    return j;
-}
-
-io::Json mars_bank_to_json(const ml::MarsBank& bank) {
-    const ml::MarsBank::State s = bank.export_state();
-    io::Json models = io::Json::array();
-    for (const ml::Mars::State& ms : s.models) {
-        models.push_back(mars_state_to_json(ms));
-    }
-    io::Json j = io::Json::object();
-    j.set("opts", mars_opts_to_json(s.opts));
-    j.set("models", std::move(models));
-    return j;
-}
-
-stats::AdaptiveKde::State kde_state_from_json(const io::Json& j) {
-    stats::AdaptiveKde::State s;
-    const io::Json& pilot = expect_member(j, "pilot", "kde");
-    s.pilot.std_data = matrix_from_json(expect_member(pilot, "std_data", "kde.pilot"),
-                                        "kde.pilot.std_data");
-    s.pilot.col_mean = vector_from_json(expect_member(pilot, "col_mean", "kde.pilot"),
-                                        "kde.pilot.col_mean");
-    s.pilot.col_scale = vector_from_json(
-        expect_member(pilot, "col_scale", "kde.pilot"), "kde.pilot.col_scale");
-    s.pilot.h = expect_number(expect_member(pilot, "h", "kde.pilot"), "kde.pilot.h");
-    s.pilot.jacobian = expect_number(expect_member(pilot, "jacobian", "kde.pilot"),
-                                     "kde.pilot.jacobian");
-    s.pilot.kernel = kernel_from_name(expect_string(
-        expect_member(pilot, "kernel", "kde.pilot"), "kde.pilot.kernel"));
-    s.alpha = expect_number(expect_member(j, "alpha", "kde"), "kde.alpha");
-    s.g = expect_number(expect_member(j, "g", "kde"), "kde.g");
-    const io::Json& lambda = expect_member(j, "lambda", "kde");
-    if (!lambda.is_array()) {
-        throw std::invalid_argument("kde.lambda: expected an array");
-    }
-    s.lambda.resize(lambda.size());
-    for (std::size_t i = 0; i < lambda.size(); ++i) {
-        s.lambda[i] = expect_number(lambda.at(i), "kde.lambda");
-    }
-    // Round-trip validation: from_state enforces the full invariant set.
-    return stats::AdaptiveKde::from_state(std::move(s)).export_state();
+template <class T>
+void decode(const io::Json& j, T&& out) {
+    Decoder::read(j, out, {});
 }
 
 // --- envelope helpers -------------------------------------------------------
@@ -460,6 +559,28 @@ std::string fnv1a64_hex(std::string_view bytes) {
     return hex_u64(h);
 }
 
+/// Decodes one section. A failure is rethrown in strict mode (a field-level
+/// one as kMalformed naming the section). A tolerant load records the
+/// section as failed, with the note `degrade` returns after undoing the
+/// section's partial state, and keeps going.
+template <class Decode, class Degrade>
+void decode_section(bool strict, const std::string& section, ArtifactLoadReport& rep,
+                    Decode&& decode_payload, Degrade&& degrade) {
+    std::string why;
+    try {
+        decode_payload();
+        return;
+    } catch (const ArtifactError& e) {
+        if (strict) throw;
+        why = e.what();
+    } catch (const std::invalid_argument& e) {
+        if (strict) throw ArtifactError(ArtifactErrorCode::kMalformed, e.what(), section);
+        why = e.what();
+    }
+    rep.failed_sections.push_back(section);
+    rep.notes.push_back(degrade(why));
+}
+
 }  // namespace
 
 std::string artifact_error_code_name(ArtifactErrorCode code) {
@@ -517,52 +638,7 @@ std::uint32_t crc32(std::string_view bytes) noexcept {
 }
 
 io::Json canonical_config_json(const PipelineConfig& config) {
-    io::Json mars = io::Json::object();
-    mars.set("max_terms", config.mars.max_terms);
-    mars.set("max_degree", config.mars.max_degree);
-    mars.set("penalty", config.mars.penalty);
-    mars.set("prune", config.mars.prune);
-    mars.set("max_knots_per_variable", config.mars.max_knots_per_variable);
-    mars.set("min_relative_improvement", config.mars.min_relative_improvement);
-
-    io::Json svm = io::Json::object();
-    svm.set("nu", config.svm.nu);
-    svm.set("gamma", config.svm.gamma);
-    svm.set("gamma_scale", config.svm.gamma_scale);
-    svm.set("tolerance", config.svm.tolerance);
-    svm.set("max_iterations", config.svm.max_iterations);
-    svm.set("max_training_samples", config.svm.max_training_samples);
-    svm.set("subsample_seed", hex_u64(config.svm.subsample_seed));
-    svm.set("whiten", config.svm.whiten);
-    svm.set("whiten_floor", config.svm.whiten_floor);
-
-    io::Json kmm = io::Json::object();
-    kmm.set("weight_bound", config.calibration.kmm.weight_bound);
-    kmm.set("epsilon", config.calibration.kmm.epsilon);
-    kmm.set("gamma", config.calibration.kmm.gamma);
-    kmm.set("max_iterations", config.calibration.kmm.max_iterations);
-    kmm.set("tolerance", config.calibration.kmm.tolerance);
-    io::Json calibration = io::Json::object();
-    calibration.set("kmm", std::move(kmm));
-    calibration.set("max_shift_iterations", config.calibration.max_shift_iterations);
-    calibration.set("shift_tolerance", config.calibration.shift_tolerance);
-
-    io::Json j = io::Json::object();
-    j.set("monte_carlo_samples", config.monte_carlo_samples);
-    j.set("synthetic_samples", config.synthetic_samples);
-    j.set("kde_alpha", config.kde_alpha);
-    j.set("kde_bandwidth", config.kde_bandwidth);
-    j.set("kde_max_lambda", config.kde_max_lambda);
-    j.set("kde_kernel", kernel_name(config.kde_kernel));
-    j.set("tail_model", tail_model_name(config.tail_model));
-    j.set("evt_tail_fraction", config.evt_tail_fraction);
-    j.set("log_transform_pcm", config.log_transform_pcm);
-    j.set("mars", std::move(mars));
-    j.set("svm", std::move(svm));
-    j.set("calibration", std::move(calibration));
-    j.set("kmm_min_effective_sample_size", config.kmm_min_effective_sample_size);
-    j.set("kmm_fallback_to_b3", config.kmm_fallback_to_b3);
-    return j;
+    return encode(config);
 }
 
 std::string config_fingerprint(const io::Json& canonical_config) {
@@ -616,57 +692,30 @@ BoundaryArtifact BoundaryArtifact::from_pipeline(const GoldenFreePipeline& pipel
 
 io::Json BoundaryArtifact::to_json() const {
     io::Json sections = io::Json::object();
-
     add_section(sections, "config", config_json_);
-
-    io::Json provenance = io::Json::object();
-    provenance.set("seed", hex_u64(provenance_.seed));
-    provenance.set("config_hash", provenance_.config_hash);
-    provenance.set("tool", provenance_.tool);
-    add_section(sections, "provenance", std::move(provenance));
+    add_section(sections, "provenance", encode(provenance_));
 
     io::Json status = io::Json::array();
     for (const Boundary b : kAllBoundaries) {
-        const BoundaryStatus& st = status_[index_of(b)];
-        io::Json entry = io::Json::object();
-        entry.set("boundary", boundary_name(b));
-        entry.set("health", boundary_health_name(st.health));
-        entry.set("detail", st.detail);
-        status.push_back(std::move(entry));
+        status.push_back(encode(StatusEntry{boundary_name(b), status_[index_of(b)]}));
     }
     add_section(sections, "status", std::move(status));
 
     add_section(sections, "mars",
-                mars_.has_value() && mars_->fitted() ? mars_bank_to_json(*mars_)
+                mars_.has_value() && mars_->fitted() ? encode(mars_->export_state())
                                                      : io::Json());
-
-    io::Json kde = io::Json::object();
-    kde.set("s2", kde_s2_.has_value() ? kde_state_to_json(*kde_s2_) : io::Json());
-    kde.set("s5", kde_s5_.has_value() ? kde_state_to_json(*kde_s5_) : io::Json());
-    add_section(sections, "kde", std::move(kde));
-
-    io::Json kmm = io::Json::object();
-    kmm.set("present", kmm_.present);
-    kmm.set("weights",
-            kmm_.present ? json_from_vector(kmm_.weights) : io::Json());
-    kmm.set("total_shift",
-            kmm_.present ? json_from_vector(kmm_.total_shift) : io::Json());
-    kmm.set("iterations", kmm_.iterations);
-    kmm.set("effective_sample_size",
-            std::isfinite(kmm_.effective_sample_size)
-                ? io::Json(kmm_.effective_sample_size)
-                : io::Json());
-    kmm.set("fallback_applied", kmm_.fallback_applied);
-    add_section(sections, "kmm", std::move(kmm));
+    add_section(sections, "kde",
+                encode(KdeTails<const std::optional<stats::AdaptiveKde::State>>{
+                    kde_s2_, kde_s5_}));
+    add_section(sections, "kmm", encode(kmm_));
 
     for (const Boundary b : kAllBoundaries) {
         const std::size_t i = index_of(b);
-        io::Json entry = io::Json::object();
-        entry.set("fingerprint_dim", fingerprint_dims_[i]);
-        entry.set("svm", svms_[i].has_value()
-                             ? svm_state_to_json(svms_[i]->export_state())
-                             : io::Json());
-        add_section(sections, "boundary." + boundary_name(b), std::move(entry));
+        BoundaryEntry entry;
+        entry.usable = status_[i].usable();
+        entry.fingerprint_dim = fingerprint_dims_[i];
+        if (svms_[i].has_value()) entry.svm = svms_[i]->export_state();
+        add_section(sections, "boundary." + boundary_name(b), encode(entry));
     }
 
     io::Json doc = io::Json::object();
@@ -728,20 +777,12 @@ BoundaryArtifact BoundaryArtifact::from_json(const io::Json& doc,
     }
     artifact.config_json_ = config;
 
-    const io::Json& provenance = checked_section(sections, "provenance");
-    try {
-        artifact.provenance_.seed = parse_hex_u64(
-            expect_string(expect_member(provenance, "seed", "provenance"),
-                          "provenance.seed"),
-            "provenance.seed");
-        artifact.provenance_.config_hash = expect_string(
-            expect_member(provenance, "config_hash", "provenance"),
-            "provenance.config_hash");
-        artifact.provenance_.tool = expect_string(
-            expect_member(provenance, "tool", "provenance"), "provenance.tool");
-    } catch (const std::invalid_argument& e) {
-        throw ArtifactError(ArtifactErrorCode::kMalformed, e.what(), "provenance");
-    }
+    // Strict regardless of the load options: never degraded.
+    const auto required = [](const std::string& why) { return why; };
+    decode_section(
+        true, "provenance", rep,
+        [&] { decode(checked_section(sections, "provenance"), artifact.provenance_); },
+        required);
 
     const std::string recomputed = config_fingerprint(artifact.config_json_);
     if (recomputed != artifact.provenance_.config_hash) {
@@ -751,108 +792,66 @@ BoundaryArtifact BoundaryArtifact::from_json(const io::Json& doc,
                             "provenance");
     }
 
-    const io::Json& status = checked_section(sections, "status");
-    try {
-        if (!status.is_array() || status.size() != kAllBoundaries.size()) {
-            throw std::invalid_argument("status payload must list all 5 boundaries");
-        }
-        for (const Boundary b : kAllBoundaries) {
-            const std::size_t i = index_of(b);
-            const io::Json& entry = status.at(i);
-            const std::string& name = expect_string(
-                expect_member(entry, "boundary", "status"), "status.boundary");
-            if (name != boundary_name(b)) {
-                throw std::invalid_argument("status entry " + std::to_string(i) +
-                                            " names " + name + ", expected " +
-                                            boundary_name(b));
+    decode_section(
+        true, "status", rep,
+        [&] {
+            const io::Json& status = checked_section(sections, "status");
+            if (!status.is_array() || status.size() != kAllBoundaries.size()) {
+                throw std::invalid_argument("status payload must list all 5 boundaries");
             }
-            artifact.status_[i].health = health_from_name(expect_string(
-                expect_member(entry, "health", "status"), "status.health"));
-            artifact.status_[i].detail = expect_string(
-                expect_member(entry, "detail", "status"), "status.detail");
-        }
-    } catch (const std::invalid_argument& e) {
-        throw ArtifactError(ArtifactErrorCode::kMalformed, e.what(), "status");
-    }
+            for (const Boundary b : kAllBoundaries) {
+                const std::size_t i = index_of(b);
+                StatusEntry entry;
+                decode(status.at(i), entry);
+                if (entry.boundary != boundary_name(b)) {
+                    throw std::invalid_argument("status entry " + std::to_string(i) +
+                                                " names " + entry.boundary +
+                                                ", expected " + boundary_name(b));
+                }
+                artifact.status_[i] = std::move(entry.status);
+            }
+        },
+        required);
 
     // A failure in one of the auxiliary sections (mars / kde / kmm) does not
     // change any score, so a tolerant load notes it and keeps going.
-    const auto tolerate = [&](const std::string& section, const std::string& why) {
-        if (opts.strict) {
-            throw ArtifactError(ArtifactErrorCode::kMalformed, why, section);
-        }
-        rep.failed_sections.push_back(section);
-        rep.notes.push_back("section " + section + " rejected: " + why);
-    };
-
-    try {
-        const io::Json& mars = checked_section(sections, "mars");
-        if (!mars.is_null()) {
+    decode_section(
+        opts.strict, "mars", rep,
+        [&] {
+            const io::Json& mars = checked_section(sections, "mars");
+            if (mars.is_null()) return;
             ml::MarsBank::State state;
-            state.opts = mars_opts_from_json(expect_member(mars, "opts", "mars"));
-            const io::Json& models = expect_member(mars, "models", "mars");
-            if (!models.is_array()) {
-                throw std::invalid_argument("mars.models: expected an array");
-            }
-            state.models.resize(models.size());
-            for (std::size_t m = 0; m < models.size(); ++m) {
-                state.models[m] = mars_state_from_json(models.at(m));
-            }
+            decode(mars, state);
             artifact.mars_ = ml::MarsBank::from_state(std::move(state));
-        }
-    } catch (const ArtifactError& e) {
-        if (opts.strict) throw;
-        rep.failed_sections.push_back("mars");
-        rep.notes.push_back(std::string("section mars rejected: ") + e.what());
-    } catch (const std::invalid_argument& e) {
-        tolerate("mars", e.what());
-    }
+        },
+        [](const std::string& why) { return "section mars rejected: " + why; });
 
-    try {
-        const io::Json& kde = checked_section(sections, "kde");
-        const io::Json& s2 = expect_member(kde, "s2", "kde");
-        if (!s2.is_null()) artifact.kde_s2_ = kde_state_from_json(s2);
-        const io::Json& s5 = expect_member(kde, "s5", "kde");
-        if (!s5.is_null()) artifact.kde_s5_ = kde_state_from_json(s5);
-    } catch (const ArtifactError& e) {
-        if (opts.strict) throw;
-        artifact.kde_s2_.reset();
-        artifact.kde_s5_.reset();
-        rep.failed_sections.push_back("kde");
-        rep.notes.push_back(std::string("section kde rejected: ") + e.what());
-    } catch (const std::invalid_argument& e) {
-        artifact.kde_s2_.reset();
-        artifact.kde_s5_.reset();
-        tolerate("kde", e.what());
-    }
+    decode_section(
+        opts.strict, "kde", rep,
+        [&] {
+            decode(checked_section(sections, "kde"),
+                   KdeTails<std::optional<stats::AdaptiveKde::State>>{artifact.kde_s2_,
+                                                                       artifact.kde_s5_});
+            // Round-trip validation: from_state enforces the full invariant set.
+            for (auto* kde : {&artifact.kde_s2_, &artifact.kde_s5_}) {
+                if (kde->has_value()) {
+                    *kde = stats::AdaptiveKde::from_state(std::move(**kde)).export_state();
+                }
+            }
+        },
+        [&](const std::string& why) {
+            artifact.kde_s2_.reset();
+            artifact.kde_s5_.reset();
+            return "section kde rejected: " + why;
+        });
 
-    try {
-        const io::Json& kmm = checked_section(sections, "kmm");
-        artifact.kmm_.present =
-            expect_bool(expect_member(kmm, "present", "kmm"), "kmm.present");
-        if (artifact.kmm_.present) {
-            artifact.kmm_.weights = vector_from_json(
-                expect_member(kmm, "weights", "kmm"), "kmm.weights");
-            artifact.kmm_.total_shift = vector_from_json(
-                expect_member(kmm, "total_shift", "kmm"), "kmm.total_shift");
-        }
-        artifact.kmm_.iterations =
-            expect_size(expect_member(kmm, "iterations", "kmm"), "kmm.iterations");
-        const io::Json& ess = expect_member(kmm, "effective_sample_size", "kmm");
-        artifact.kmm_.effective_sample_size =
-            ess.is_null() ? std::numeric_limits<double>::quiet_NaN()
-                          : expect_number(ess, "kmm.effective_sample_size");
-        artifact.kmm_.fallback_applied = expect_bool(
-            expect_member(kmm, "fallback_applied", "kmm"), "kmm.fallback_applied");
-    } catch (const ArtifactError& e) {
-        if (opts.strict) throw;
-        artifact.kmm_ = {};
-        rep.failed_sections.push_back("kmm");
-        rep.notes.push_back(std::string("section kmm rejected: ") + e.what());
-    } catch (const std::invalid_argument& e) {
-        artifact.kmm_ = {};
-        tolerate("kmm", e.what());
-    }
+    decode_section(
+        opts.strict, "kmm", rep,
+        [&] { decode(checked_section(sections, "kmm"), artifact.kmm_); },
+        [&](const std::string& why) {
+            artifact.kmm_ = {};
+            return "section kmm rejected: " + why;
+        });
 
     // Per-boundary sections: a rejected section takes down exactly that
     // boundary. Tolerant loads keep scoring on the survivors; strict loads
@@ -860,49 +859,40 @@ BoundaryArtifact BoundaryArtifact::from_json(const io::Json& doc,
     for (const Boundary b : kAllBoundaries) {
         const std::size_t i = index_of(b);
         const std::string name = "boundary." + boundary_name(b);
-        const auto fail_boundary = [&](const std::string& why) {
-            if (opts.strict) {
-                throw ArtifactError(ArtifactErrorCode::kMalformed, why, name);
-            }
-            artifact.svms_[i].reset();
-            artifact.fingerprint_dims_[i] = 0;
-            artifact.status_[i] = {BoundaryHealth::kFailed,
-                                   "artifact section rejected: " + why};
-            rep.failed_sections.push_back(name);
-            rep.notes.push_back("boundary " + boundary_name(b) +
-                                " failed artifact validation: " + why);
-        };
-        try {
-            const io::Json& entry = checked_section(sections, name);
-            artifact.fingerprint_dims_[i] = expect_size(
-                expect_member(entry, "fingerprint_dim", name.c_str()),
-                "fingerprint_dim");
-            const io::Json& svm = expect_member(entry, "svm", name.c_str());
-            if (artifact.status_[i].usable()) {
-                if (svm.is_null()) {
-                    throw std::invalid_argument(
-                        "status says usable but the model is null");
+        decode_section(
+            opts.strict, name, rep,
+            [&] {
+                BoundaryEntry entry;
+                entry.section = name;
+                entry.usable = artifact.status_[i].usable();
+                decode(checked_section(sections, name), entry);
+                artifact.fingerprint_dims_[i] = entry.fingerprint_dim;
+                if (!entry.usable) return;
+                if (!entry.svm.has_value()) {
+                    throw std::invalid_argument("status says usable but the model is null");
                 }
-                artifact.svms_[i] =
-                    ml::OneClassSvm::from_state(svm_state_from_json(svm));
+                const std::size_t width = entry.svm->input_mean.size();
+                artifact.svms_[i] = ml::OneClassSvm::from_state(std::move(*entry.svm));
                 if (!artifact.svms_[i]->fitted()) {
                     throw std::invalid_argument(
                         "status says usable but the model is unfitted");
                 }
-            }
-        } catch (const ArtifactError& e) {
-            if (opts.strict) throw;
-            artifact.svms_[i].reset();
-            artifact.fingerprint_dims_[i] = 0;
-            artifact.status_[i] = {BoundaryHealth::kFailed,
-                                   std::string("artifact section rejected: ") +
-                                       e.what()};
-            rep.failed_sections.push_back(name);
-            rep.notes.push_back("boundary " + boundary_name(b) +
-                                " failed artifact validation: " + e.what());
-        } catch (const std::invalid_argument& e) {
-            fail_boundary(e.what());
-        }
+                // The scorer checks every batch against this width, so one
+                // that disagrees with the model would reject every batch.
+                if (entry.fingerprint_dim != width) {
+                    throw std::invalid_argument(
+                        "fingerprint_dim " + std::to_string(entry.fingerprint_dim) +
+                        " != SVM input width " + std::to_string(width));
+                }
+            },
+            [&](const std::string& why) {
+                artifact.svms_[i].reset();
+                artifact.fingerprint_dims_[i] = 0;
+                artifact.status_[i] = {BoundaryHealth::kFailed,
+                                       "artifact section rejected: " + why};
+                return "boundary " + boundary_name(b) + " failed artifact validation: " +
+                       why;
+            });
     }
 
     // Every tolerant repair above is an auditable decision: a degraded

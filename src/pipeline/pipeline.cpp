@@ -47,11 +47,8 @@ std::string dataset_name(Boundary b) {
 }
 
 std::string boundary_health_name(BoundaryHealth health) {
-    switch (health) {
-        case BoundaryHealth::kUntrained: return "untrained";
-        case BoundaryHealth::kHealthy: return "healthy";
-        case BoundaryHealth::kDegraded: return "degraded";
-        case BoundaryHealth::kFailed: return "failed";
+    for (const auto& [value, name] : kBoundaryHealthNames) {
+        if (value == health) return std::string(name);
     }
     return "unknown";
 }

@@ -19,6 +19,8 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "core/errors.hpp"
 #include "io/json.hpp"
@@ -65,6 +67,14 @@ enum class BoundaryHealth {
     kDegraded,   ///< trained on fallback data (e.g. B4 on S3 after a KMM collapse)
     kFailed,     ///< training threw; the boundary is unavailable
 };
+
+/// Every health and its name, read in both directions: by
+/// boundary_health_name and by the artifact decoder.
+inline constexpr std::array<std::pair<BoundaryHealth, std::string_view>, 4>
+    kBoundaryHealthNames{{{BoundaryHealth::kUntrained, "untrained"},
+                          {BoundaryHealth::kHealthy, "healthy"},
+                          {BoundaryHealth::kDegraded, "degraded"},
+                          {BoundaryHealth::kFailed, "failed"}}};
 
 /// "untrained" / "healthy" / "degraded" / "failed".
 [[nodiscard]] std::string boundary_health_name(BoundaryHealth health);
