@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "obs/run_report.hpp"
 #include "obs/sink.hpp"
 
 namespace htd::obs {
@@ -84,9 +83,6 @@ Registry& Registry::global() {
 void Registry::apply_environment() {
     // getenv reads below: registry construction runs once, before any
     // worker threads exist, and nothing in this process calls setenv.
-    const char* path = std::getenv("HTD_OBS_PATH");  // NOLINT(concurrency-mt-unsafe)
-    json_path_ = (path != nullptr && *path != '\0') ? path : "htd_obs.json";
-
     const char* trace = std::getenv("HTD_OBS_TRACE");  // NOLINT(concurrency-mt-unsafe)
     if (trace != nullptr && *trace != '\0') trace_path_ = trace;
 
@@ -128,20 +124,10 @@ void Registry::apply_environment() {
     configure(kind);
 }
 
-void Registry::configure(SinkKind sink, std::string json_path) {
-    if (sink == SinkKind::kInherit && json_path.empty()) return;
-    {
-        const core::MutexLock lock(mutex_);
-        if (!json_path.empty()) json_path_ = std::move(json_path);
-    }
+void Registry::configure(SinkKind sink) {
     if (sink == SinkKind::kInherit) return;
     sink_.store(sink, std::memory_order_relaxed);
     enabled_.store(sink != SinkKind::kOff, std::memory_order_relaxed);
-}
-
-std::string Registry::json_path() const {
-    const core::MutexLock lock(mutex_);
-    return json_path_;
 }
 
 std::string Registry::trace_path() const {
@@ -281,19 +267,6 @@ double Registry::work_value(std::string_view name) const {
 std::size_t Registry::span_count() const {
     const core::MutexLock lock(mutex_);
     return spans_.size();
-}
-
-void Registry::flush() const {
-    if (sink() != SinkKind::kText) return;
-    const std::string text = metrics_text(*this);
-    if (!text.empty()) std::fprintf(stderr, "%s", text.c_str());
-}
-
-void Registry::write_default_report() const {
-    if (sink() != SinkKind::kJson) return;
-    RunReport report("htd_obs");
-    report.capture_observability(*this);
-    report.write(json_path());
 }
 
 void Registry::reset() {

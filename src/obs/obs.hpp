@@ -12,10 +12,9 @@
 ///
 ///     HTD_OBS=off    no-op (default) — every call is a single relaxed
 ///                    atomic load on the hot path
-///     HTD_OBS=text   spans and flush() summaries stream to stderr
+///     HTD_OBS=text   spans stream to stderr
 ///     HTD_OBS=json   records accumulate in memory for a RunReport /
-///                    BENCH_<name>.json artifact (HTD_OBS_PATH overrides
-///                    the default report path of write_default_report())
+///                    BENCH_<name>.json artifact
 ///
 /// All registry operations are thread-safe: the hot-path enabled check is
 /// lock-free and the record/aggregate paths take one short mutex section.
@@ -68,11 +67,6 @@ enum class SinkKind {
 struct Config {
     SinkKind sink = SinkKind::kInherit;
 
-    /// Default path used by Registry::write_default_report() under the JSON
-    /// sink; empty keeps the current path ("htd_obs.json" unless
-    /// HTD_OBS_PATH is set).
-    std::string json_path;
-
     /// Chrome/Perfetto trace-event JSON destination used by
     /// `trace_export.hpp::write_trace_if_configured()`; empty keeps the
     /// current path (unset unless HTD_OBS_TRACE is set, in which case no
@@ -122,15 +116,16 @@ struct HistogramSnapshot {
 /// Process-global observability registry.
 class Registry {
 public:
-    /// The process-wide instance. First access applies the HTD_OBS /
-    /// HTD_OBS_PATH environment variables.
+    /// The process-wide instance. First access applies the HTD_OBS,
+    /// HTD_OBS_TRACE, HTD_OBS_TRACE_NORMALIZE and HTD_OBS_RESOURCES
+    /// environment variables.
     static Registry& global();
 
     /// Swap the sink; `SinkKind::kInherit` is a no-op. Not reset()-ing:
     /// already-recorded data survives a sink change.
-    void configure(SinkKind sink, std::string json_path = {}) HTD_EXCLUDES(mutex_);
+    void configure(SinkKind sink);
     void configure(const Config& config) {
-        configure(config.sink, config.json_path);
+        configure(config.sink);
         if (!config.trace_path.empty()) set_trace_path(config.trace_path);
     }
 
@@ -142,9 +137,6 @@ public:
     [[nodiscard]] SinkKind sink() const noexcept {
         return sink_.load(std::memory_order_relaxed);
     }
-
-    /// Default path for write_default_report().
-    [[nodiscard]] std::string json_path() const HTD_EXCLUDES(mutex_);
 
     /// Trace-event JSON destination (empty = no trace requested). First
     /// access applies the HTD_OBS_TRACE environment variable.
@@ -232,14 +224,6 @@ public:
         return counter_value("obs.spans_dropped");
     }
 
-    /// Under the text sink, print a metrics summary table to stderr.
-    /// No-op otherwise.
-    void flush() const;
-
-    /// Under the JSON sink, write a generic RunReport snapshot to
-    /// json_path(). No-op otherwise.
-    void write_default_report() const;
-
     /// Drop all recorded spans and metrics (sink selection is kept).
     void reset() HTD_EXCLUDES(mutex_);
 
@@ -261,7 +245,6 @@ private:
     std::atomic<std::uint64_t> next_id_{0};
 
     mutable core::Mutex mutex_;
-    std::string json_path_ HTD_GUARDED_BY(mutex_);
     std::string trace_path_ HTD_GUARDED_BY(mutex_);
     std::vector<SpanRecord> spans_ HTD_GUARDED_BY(mutex_);
     std::map<std::string, double, std::less<>> counters_ HTD_GUARDED_BY(mutex_);

@@ -1,8 +1,8 @@
 #pragma once
 /// \file sink.hpp
 /// Registry snapshot -> output conversions shared by the text and JSON
-/// sinks: `io::Json` views of the recorded spans and metrics, and the
-/// stderr rendering used by `Registry::flush()` under the text sink.
+/// sinks: `io::Json` views of the recorded spans and metrics, and their
+/// text renderings (the span lines the text sink streams to stderr).
 
 #include <string>
 
@@ -39,8 +39,8 @@ namespace htd::obs {
 /// Indented two spaces per nesting level.
 [[nodiscard]] std::string span_text_line(const SpanRecord& record);
 
-/// Metrics summary tables (io::Table format) used by flush() under the
-/// text sink.
+/// Metrics summary tables (io::Table format) of the registry's counters,
+/// gauges and histograms.
 [[nodiscard]] std::string metrics_text(const Registry& registry);
 
 }  // namespace htd::obs
