@@ -17,28 +17,17 @@
 int main() {
     using namespace htd;
 
-    core::ExperimentConfig config;
-    config.pipeline.obs.sink = obs::SinkKind::kJson;  // time the stages for the report
-    rng::Rng master(config.seed);
-    rng::Rng fab_rng = master.split();
-    rng::Rng sim_rng = master.split();
-    rng::Rng pipe_rng = master.split();
-
-    const silicon::DuttDataset measured = core::fabricate_and_measure(config, fab_rng);
+    const core::ExperimentConfig config;
+    // Time the stages (fabrication included) for the report.
+    obs::Registry::global().configure(obs::SinkKind::kJson);
+    const auto [measured, pipeline] = core::calibrate(config);
     const auto labels = measured.labels();
-
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
-    core::GoldenFreePipeline pipeline(
-        config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(measured.pcms, pipe_rng);
 
     std::printf("ROC analysis of the trusted-region decision values\n\n");
     io::Table table({"boundary", "AUC", "FN at FP=0"});
     io::Json roc_results = io::Json::array();
     for (const core::Boundary b : core::kAllBoundaries) {
-        const linalg::Vector dv = pipeline.decision_values(b, measured.fingerprints);
+        const linalg::Vector dv = pipeline->decision_values(b, measured.fingerprints);
         const std::vector<double> scores(dv.begin(), dv.end());
         const auto curve = ml::roc_curve(scores, labels);
 
@@ -69,7 +58,7 @@ int main() {
 
     // Detector swap: k-NN one-class on the same S5 population.
     ml::KnnDetector knn({.k = 5, .nu = config.pipeline.svm.nu});
-    knn.fit(pipeline.dataset(core::Boundary::kB5));
+    knn.fit(pipeline->dataset(core::Boundary::kB5));
     std::vector<double> knn_scores(measured.size());
     std::vector<bool> knn_inside(measured.size());
     for (std::size_t i = 0; i < measured.size(); ++i) {

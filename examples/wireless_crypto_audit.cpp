@@ -20,52 +20,40 @@
 int main() {
     using namespace htd;
 
-    core::ExperimentConfig config;  // the paper's 40-chip batch
-    rng::Rng master(config.seed);
-    rng::Rng fab_rng = master.split();
-    rng::Rng sim_rng = master.split();
-    rng::Rng pipe_rng = master.split();
-
+    const core::ExperimentConfig config;  // the paper's 40-chip batch
     std::printf("=== Wireless cryptographic IC audit ===\n");
     std::printf("batch: %zu chips x 3 design versions = %zu devices under test\n",
                 config.n_chips, 3 * config.n_chips);
     std::printf("root of trust: design database + on-die PCMs (no golden chips)\n\n");
 
-    const silicon::DuttDataset devices = core::fabricate_and_measure(config, fab_rng);
-
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
-    core::GoldenFreePipeline pipeline(
-        config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
+    const auto [devices, pipeline] = core::calibrate(config);
 
     std::printf("[stage 1] pre-manufacturing: Monte Carlo of %zu golden devices,\n",
                 config.pipeline.monte_carlo_samples);
     std::printf("          MARS bank g : PCM -> fingerprints, boundaries B1/B2\n");
-    pipeline.run_premanufacturing(sim_rng);
     double r2 = 0.0;
-    for (std::size_t j = 0; j < pipeline.regressions().output_dim(); ++j) {
-        r2 += pipeline.regressions().model(j).r_squared();
+    for (std::size_t j = 0; j < pipeline->regressions().output_dim(); ++j) {
+        r2 += pipeline->regressions().model(j).r_squared();
     }
     std::printf("          mean regression R^2 = %.3f\n\n",
-                r2 / static_cast<double>(pipeline.regressions().output_dim()));
+                r2 / static_cast<double>(pipeline->regressions().output_dim()));
 
     std::printf("[stage 2] silicon measurement: PCM calibration + boundaries B3..B5\n");
-    pipeline.run_silicon_stage(devices.pcms, pipe_rng);
     std::printf("          kernel-mean-shift iterations: %zu\n\n",
-                pipeline.calibration_result()->iterations);
+                pipeline->calibration_result()->iterations);
 
     std::printf("[stage 3] Trojan test\n\n");
     std::array<std::vector<bool>, 5> verdicts;
     for (std::size_t b = 0; b < 5; ++b) {
         verdicts[b] =
-            pipeline.classify(core::kAllBoundaries[b], devices.fingerprints);
+            pipeline->classify(core::kAllBoundaries[b], devices.fingerprints);
     }
 
     // Per-boundary summary.
     io::Table summary({"boundary", "FP (missed Trojans)", "FN (false alarms)",
                        "accuracy"});
     for (std::size_t b = 0; b < 5; ++b) {
-        const auto m = pipeline.evaluate(core::kAllBoundaries[b], devices);
+        const auto m = pipeline->evaluate(core::kAllBoundaries[b], devices);
         summary.add_row({core::boundary_name(core::kAllBoundaries[b]),
                          io::fmt_ratio(m.false_positives, m.trojan_infested_total),
                          io::fmt_ratio(m.false_negatives, m.trojan_free_total),

@@ -61,19 +61,6 @@ enum class SinkKind {
                                   std::string_view value,
                                   std::string* error = nullptr);
 
-/// Observability options embeddable in a component config (for example
-/// `core::PipelineConfig::obs`). `kInherit` leaves the global registry
-/// untouched, so library code never overrides an explicit caller choice.
-struct Config {
-    SinkKind sink = SinkKind::kInherit;
-
-    /// Chrome/Perfetto trace-event JSON destination used by
-    /// `trace_export.hpp::write_trace_if_configured()`; empty keeps the
-    /// current path (unset unless HTD_OBS_TRACE is set, in which case no
-    /// trace is written).
-    std::string trace_path;
-};
-
 /// One completed trace span.
 struct SpanRecord {
     std::uint64_t id = 0;      ///< 1-based, unique per process
@@ -124,10 +111,6 @@ public:
     /// Swap the sink; `SinkKind::kInherit` is a no-op. Not reset()-ing:
     /// already-recorded data survives a sink change.
     void configure(SinkKind sink);
-    void configure(const Config& config) {
-        configure(config.sink);
-        if (!config.trace_path.empty()) set_trace_path(config.trace_path);
-    }
 
     /// True when any sink other than kOff is active.
     [[nodiscard]] bool enabled() const noexcept {

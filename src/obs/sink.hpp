@@ -39,8 +39,4 @@ namespace htd::obs {
 /// Indented two spaces per nesting level.
 [[nodiscard]] std::string span_text_line(const SpanRecord& record);
 
-/// Metrics summary tables (io::Table format) of the registry's counters,
-/// gauges and histograms.
-[[nodiscard]] std::string metrics_text(const Registry& registry);
-
 }  // namespace htd::obs

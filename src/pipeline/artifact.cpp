@@ -66,8 +66,6 @@ struct EnumNames {
 constexpr std::pair<stats::KernelType, std::string_view> kKernelNames[] = {
     {stats::KernelType::kEpanechnikov, "epanechnikov"},
     {stats::KernelType::kGaussian, "gaussian"}};
-constexpr std::pair<TailModel, std::string_view> kTailModelNames[] = {
-    {TailModel::kAdaptiveKde, "adaptive_kde"}, {TailModel::kEvtPot, "evt_pot"}};
 
 EnumNames<stats::KernelType> enum_names(stats::KernelType) {
     return {"kernel type", kKernelNames};

@@ -31,24 +31,31 @@ silicon::DuttDataset fabricate_and_measure(const ExperimentConfig& config,
     return bench.measure_lot(lot, rng);
 }
 
+Calibration calibrate(const ExperimentConfig& config) {
+    rng::Rng master(config.seed);
+    rng::Rng fab_rng = master.split();
+    rng::Rng sim_rng = master.split();
+    rng::Rng pipe_rng = master.split();
+
+    Calibration cal;
+    cal.devices = fabricate_and_measure(config, fab_rng);
+    const ProcessPair processes = make_process_pair(config.process_shift_sigma);
+    cal.pipeline = std::make_unique<GoldenFreePipeline>(
+        config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
+    cal.pipeline->run_premanufacturing(sim_rng);
+    cal.pipeline->run_silicon_stage(cal.devices.pcms, pipe_rng);
+    return cal;
+}
+
 ExperimentResult run_experiment(const ExperimentConfig& config) {
     obs::ScopedSpan span("experiment.run");
     span.attr("seed", static_cast<double>(config.seed));
     span.attr("n_chips", static_cast<double>(config.n_chips));
-    rng::Rng master(config.seed);
-    rng::Rng fab_rng = master.split();
-    rng::Rng sim_rng = master.split();
-    rng::Rng pipeline_rng = master.split();
+    Calibration cal = calibrate(config);
+    const GoldenFreePipeline& pipeline = *cal.pipeline;
 
     ExperimentResult result;
-    result.measured = fabricate_and_measure(config, fab_rng);
-
-    const ProcessPair processes = make_process_pair(config.process_shift_sigma);
-    silicon::SpiceSimulator simulator(config.platform, processes.spice);
-
-    GoldenFreePipeline pipeline(config.pipeline, std::move(simulator));
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(result.measured.pcms, pipeline_rng);
+    result.measured = std::move(cal.devices);
 
     {
         obs::ScopedSpan score_span("experiment.score_boundaries");

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 
 #include "pipeline/pipeline.hpp"
 #include "process/variation_model.hpp"
@@ -64,6 +65,21 @@ struct ExperimentResult {
 /// Run the full experiment. This is the programmatic equivalent of the
 /// paper's Section 3 and the engine behind bench_table1 / bench_fig4.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
+
+/// A measured lot and the pipeline calibrated on it (stages 1 and 2 run).
+struct Calibration {
+    silicon::DuttDataset devices;
+    /// Held by pointer: the pipeline's HealthMonitor owns a mutex, so the
+    /// pipeline cannot move.
+    std::unique_ptr<GoldenFreePipeline> pipeline;
+};
+
+/// Fabricate and measure the lot, then run stages 1 and 2 on its PCMs. The
+/// master seed splits into the fab, sim and pipe streams in that order;
+/// every caller that goes through here (run_experiment, htd_score
+/// calibrate, quickstart) gets bit-identical boundaries for one seed.
+/// Opens no span of its own.
+[[nodiscard]] Calibration calibrate(const ExperimentConfig& config);
 
 /// Construct the pieces individually (exposed for custom studies):
 

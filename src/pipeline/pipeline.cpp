@@ -67,7 +67,6 @@ GoldenFreePipeline::GoldenFreePipeline(PipelineConfig config,
         throw ConfigError(
             "GoldenFreePipeline: negative KMM effective-sample-size floor");
     }
-    obs::Registry::global().configure(config_.obs);
 }
 
 linalg::Matrix GoldenFreePipeline::transform_pcms(const linalg::Matrix& pcms) const {

@@ -30,7 +30,6 @@
 #include "ml/metrics.hpp"
 #include "ml/one_class_svm.hpp"
 #include "obs/health.hpp"
-#include "obs/obs.hpp"
 #include "rng/rng.hpp"
 #include "silicon/bench_measure.hpp"
 #include "stats/evt.hpp"
@@ -96,6 +95,12 @@ enum class TailModel {
     kEvtPot,       ///< EVT alternative: per-axis GPD peaks-over-threshold
 };
 
+/// Every tail model and its name, read by the run report and both ways by
+/// the artifact codec.
+inline constexpr std::array<std::pair<TailModel, std::string_view>, 2>
+    kTailModelNames{{{TailModel::kAdaptiveKde, "adaptive_kde"},
+                     {TailModel::kEvtPot, "evt_pot"}}};
+
 /// Tuning knobs of the detection pipeline.
 struct PipelineConfig {
     /// Monte Carlo golden devices n (the paper uses 100).
@@ -149,11 +154,6 @@ struct PipelineConfig {
     /// from the measured PCMs) instead of throwing CalibrationCollapseError.
     /// The fallback is recorded in the boundary status and observability.
     bool kmm_fallback_to_b3 = true;
-
-    /// Observability sink selection, applied to the global obs registry when
-    /// the pipeline is constructed. The default (kInherit) leaves whatever
-    /// the process / HTD_OBS environment variable configured.
-    obs::Config obs{};
 
     /// Thresholds behind the statistical health probes recorded by every
     /// stage (KMM weight diagnostics, PCM drift, KDE tail mass, MARS fit,

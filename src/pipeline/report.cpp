@@ -89,8 +89,9 @@ obs::RunReport pipeline_run_report(const GoldenFreePipeline& pipeline,
     cfg.set("kde_alpha", config.kde_alpha);
     cfg.set("kde_bandwidth", config.kde_bandwidth);
     cfg.set("kde_max_lambda", config.kde_max_lambda);
-    cfg.set("tail_model",
-            config.tail_model == TailModel::kAdaptiveKde ? "adaptive_kde" : "evt_pot");
+    for (const auto& [model, name] : kTailModelNames) {
+        if (model == config.tail_model) cfg.set("tail_model", std::string(name));
+    }
     cfg.set("log_transform_pcm", config.log_transform_pcm);
     cfg.set("svm_nu", config.svm.nu);
     cfg.set("svm_gamma_scale", config.svm.gamma_scale);

@@ -23,6 +23,7 @@
 #include "pipeline/artifact.hpp"
 #include "pipeline/artifact_fault.hpp"
 #include "pipeline/experiment.hpp"
+#include "pipeline/report.hpp"
 #include "pipeline/scorer.hpp"
 #include "score_cli.hpp"
 
@@ -40,26 +41,6 @@ core::ExperimentConfig reduced_config() {
     return config;
 }
 
-/// Runs stages 1 and 2 of the pipeline on a freshly fabricated lot; the
-/// measured fingerprints land in `*fingerprints` when it is non-null.
-std::unique_ptr<core::GoldenFreePipeline> calibrate(
-    const core::ExperimentConfig& config, linalg::Matrix* fingerprints = nullptr) {
-    rng::Rng rng(config.seed);
-    rng::Rng fab_rng = rng.split();
-    const silicon::DuttDataset devices = core::fabricate_and_measure(config, fab_rng);
-    if (fingerprints != nullptr) *fingerprints = devices.fingerprints;
-
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
-    auto pipeline = std::make_unique<core::GoldenFreePipeline>(
-        config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
-    rng::Rng sim_rng = rng.split();
-    rng::Rng pipe_rng = rng.split();
-    pipeline->run_premanufacturing(sim_rng);
-    pipeline->run_silicon_stage(devices.pcms, pipe_rng);
-    return pipeline;
-}
-
 /// Calibrates one reduced-budget pipeline for the whole suite and keeps the
 /// pristine artifact around as text — the unit every corruption test
 /// perturbs.
@@ -67,7 +48,9 @@ class ArtifactSuite : public ::testing::Test {
 protected:
     static void SetUpTestSuite() {
         const core::ExperimentConfig config = reduced_config();
-        pipeline_ = calibrate(config, &fingerprints_);
+        core::Calibration cal = core::calibrate(config);
+        pipeline_ = std::move(cal.pipeline);
+        fingerprints_ = std::move(cal.devices.fingerprints);
         seed_ = config.seed;
         artifact_doc_ = core::BoundaryArtifact::from_pipeline(*pipeline_, seed_,
                                                               "test_artifact")
@@ -551,8 +534,8 @@ TEST(ArtifactBranchPin, EvtUnprunedWhitenedFallbackArtifactIsByteStable) {
     p.kmm_min_effective_sample_size = 1e6;  // above any ESS: forces the fallback
 
     const io::Json doc =
-        core::BoundaryArtifact::from_pipeline(*calibrate(config), config.seed,
-                                              "branch_pin")
+        core::BoundaryArtifact::from_pipeline(*core::calibrate(config).pipeline,
+                                              config.seed, "branch_pin")
             .to_json();
     const io::Json& sections = doc.at("sections");
     const auto payload = [&](const char* name) -> const io::Json& {
@@ -571,6 +554,63 @@ TEST(ArtifactBranchPin, EvtUnprunedWhitenedFallbackArtifactIsByteStable) {
     const std::string bytes = doc.dump(2) + "\n";
     EXPECT_EQ(bytes.size(), 164098U);
     EXPECT_EQ(fnv1a64(bytes), 0x1dd50fde7bb7ffc3ULL);
+}
+
+TEST(CalibrationParity, RunExperimentAndHtdScoreShareTheCalibrateStreams) {
+    // run_experiment and htd_score calibrate both go through
+    // core::calibrate, so one seed gives the same lot, the same training
+    // sets, the same Table 1 and bit-equal decision values on every path.
+    const core::ExperimentConfig config = reduced_config();
+    const core::ExperimentResult result = core::run_experiment(config);
+    const auto [devices, pipeline] = core::calibrate(config);
+    ASSERT_EQ(result.measured.fingerprints, devices.fingerprints);
+
+    const std::string tag = std::to_string(::getpid());
+    const std::filesystem::path dir = std::filesystem::temp_directory_path();
+    const std::string artifact = (dir / ("htd_parity_" + tag + ".json")).string();
+    const std::string bscores = (dir / ("htd_parity_bscores_" + tag + ".json")).string();
+    const char* argv[] = {"htd_score", "calibrate", "--chips", "10", "--mc", "40",
+                          "--synthetic", "3000", "--artifact", artifact.c_str(),
+                          "--bscores", bscores.c_str()};
+    ASSERT_EQ(score_cli::run(12, argv), score_cli::kExitClean);
+    const io::Json cli = io::Json::parse_file(bscores);
+    std::filesystem::remove(artifact);
+    std::filesystem::remove(bscores);
+
+    for (std::size_t i = 0; i < core::kAllBoundaries.size(); ++i) {
+        const core::Boundary b = core::kAllBoundaries[i];
+        SCOPED_TRACE(core::boundary_name(b));
+        const ml::DetectionMetrics m = pipeline->evaluate(b, devices);
+        EXPECT_EQ(result.table1[i].false_positives, m.false_positives);
+        EXPECT_EQ(result.table1[i].false_negatives, m.false_negatives);
+        EXPECT_EQ(result.table1[i].trojan_free_total, m.trojan_free_total);
+        EXPECT_EQ(result.table1[i].trojan_infested_total, m.trojan_infested_total);
+        EXPECT_EQ(result.datasets[i], pipeline->dataset(b));
+
+        const linalg::Vector dv = pipeline->decision_values(b, devices.fingerprints);
+        const std::vector<io::Json>& scores =
+            cli.at("boundaries").at(core::boundary_name(b)).at("scores").elements();
+        ASSERT_EQ(scores.size(), dv.size());
+        for (std::size_t d = 0; d < dv.size(); ++d) {
+            EXPECT_EQ(scores[d].number(), dv[d]) << "device " << d;
+        }
+    }
+}
+
+TEST(TailModelNames, RunReportNamesEachTailModelAsTheArtifactDoes) {
+    for (const auto& [model, name] : core::kTailModelNames) {
+        core::ExperimentConfig config = reduced_config();
+        config.pipeline.tail_model = model;
+        const core::ProcessPair processes =
+            core::make_process_pair(config.process_shift_sigma);
+        const core::GoldenFreePipeline pipeline(
+            config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
+        const io::Json report =
+            core::pipeline_run_report(pipeline, "tail_model_names").json();
+        EXPECT_EQ(report.at("config").at("tail_model").str(), name);
+        EXPECT_EQ(core::canonical_config_json(config.pipeline).at("tail_model").str(),
+                  name);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

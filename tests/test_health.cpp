@@ -244,22 +244,10 @@ core::ExperimentConfig small_config() {
 }
 
 TEST(PipelineHealth, CleanRunReportsAllProbesHealthy) {
-    const core::ExperimentConfig config = small_config();
-    rng::Rng master(config.seed);
-    rng::Rng fab_rng = master.split();
-    rng::Rng sim_rng = master.split();
-    rng::Rng pipe_rng = master.split();
-    const silicon::DuttDataset measured =
-        core::fabricate_and_measure(config, fab_rng);
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
-    core::GoldenFreePipeline pipeline(
-        config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(measured.pcms, pipe_rng);
-    pipeline.probe_incoming(measured);
+    const auto [measured, pipeline] = core::calibrate(small_config());
+    pipeline->probe_incoming(measured);
 
-    const obs::HealthMonitor& health = pipeline.health();
+    const obs::HealthMonitor& health = pipeline->health();
     EXPECT_EQ(health.verdict(), HealthLevel::kHealthy);
     for (const char* name : {"mars_fit", "kmm_weights", "calibration", "drift.pcm",
                              "kde.s2", "kde.s5", "boundaries",
@@ -350,24 +338,12 @@ TEST(PipelineHealth, KmmCollapseFallbackVisibleInReportHealthAndJournal) {
     obs::EventJournal& journal = obs::EventJournal::global();
     journal.enable_memory();
 
-    rng::Rng master(config.seed);
-    rng::Rng fab_rng = master.split();
-    rng::Rng sim_rng = master.split();
-    rng::Rng pipe_rng = master.split();
-    const silicon::DuttDataset measured =
-        core::fabricate_and_measure(config, fab_rng);
-    const core::ProcessPair processes =
-        core::make_process_pair(config.process_shift_sigma);
-    core::GoldenFreePipeline pipeline(
-        config.pipeline,
-        silicon::SpiceSimulator(config.platform, processes.spice));
-    pipeline.run_premanufacturing(sim_rng);
-    pipeline.run_silicon_stage(measured.pcms, pipe_rng);
-    ASSERT_TRUE(pipeline.kmm_fallback_applied());
+    const core::Calibration cal = core::calibrate(config);
+    ASSERT_TRUE(cal.pipeline->kmm_fallback_applied());
 
     // Surface 1: the run report's health section names the degraded B4.
     const obs::RunReport report =
-        core::pipeline_run_report(pipeline, "kmm_collapse");
+        core::pipeline_run_report(*cal.pipeline, "kmm_collapse");
     const io::Json& doc = report.json();
     ASSERT_TRUE(doc.contains("health"));
     bool degraded_boundary_reported = false;
