@@ -43,13 +43,12 @@ Matrix subsample(const Matrix& data, std::size_t cap) {
 int main() {
     using namespace htd;
 
-    core::ExperimentConfig config;
-    const core::ExperimentResult result = core::run_experiment(config);
+    const auto [measured, pipeline] = core::calibrate(core::ExperimentConfig{});
 
     // PCA basis from the measured device fingerprints (as in the paper, the
     // projection visualizes the fabricated populations).
     ml::Pca pca;
-    pca.fit(result.measured.fingerprints, 3);
+    pca.fit(measured.fingerprints, 3);
     const linalg::Vector evr = pca.explained_variance_ratio();
     std::printf("Fig. 4: PCA projection of fingerprint populations\n");
     std::printf("explained variance ratio: PC1 %.3f, PC2 %.3f, PC3 %.3f\n\n", evr[0],
@@ -57,9 +56,9 @@ int main() {
 
     // Split the measured devices by ground truth.
     Matrix tf, ti_amp, ti_freq;
-    for (std::size_t i = 0; i < result.measured.size(); ++i) {
-        const linalg::Vector row = result.measured.fingerprints.row(i);
-        switch (result.measured.variants[i]) {
+    for (std::size_t i = 0; i < measured.size(); ++i) {
+        const linalg::Vector row = measured.fingerprints.row(i);
+        switch (measured.variants[i]) {
             case trojan::DesignVariant::kTrojanFree: tf.append_row(row); break;
             case trojan::DesignVariant::kTrojanAmplitude: ti_amp.append_row(row); break;
             case trojan::DesignVariant::kTrojanFrequency: ti_freq.append_row(row); break;
@@ -76,10 +75,9 @@ int main() {
     series.push_back({"measured TF (blue)", pca.transform(tf)});
     series.push_back({"measured TI-amp (green)", pca.transform(ti_amp)});
     series.push_back({"measured TI-freq (black)", pca.transform(ti_freq)});
-    for (std::size_t i = 0; i < core::kAllBoundaries.size(); ++i) {
-        series.push_back(
-            {core::dataset_name(core::kAllBoundaries[i]) + " (purple)",
-             pca.transform(subsample(result.datasets[i], 2000))});
+    for (const core::Boundary b : core::kAllBoundaries) {
+        series.push_back({core::dataset_name(b) + " (purple)",
+                          pca.transform(subsample(pipeline->dataset(b), 2000))});
     }
     for (const Series& s : series) report(table, s.name, s.scores);
     std::printf("%s\n", table.str().c_str());

@@ -47,22 +47,15 @@ Calibration calibrate(const ExperimentConfig& config) {
     return cal;
 }
 
-ExperimentResult run_experiment(const ExperimentConfig& config) {
-    obs::ScopedSpan span("experiment.run");
-    span.attr("seed", static_cast<double>(config.seed));
-    span.attr("n_chips", static_cast<double>(config.n_chips));
-    Calibration cal = calibrate(config);
+ExperimentResult score_calibration(const Calibration& cal) {
     const GoldenFreePipeline& pipeline = *cal.pipeline;
-
     ExperimentResult result;
-    result.measured = std::move(cal.devices);
+    result.measured = cal.devices;
 
     {
         obs::ScopedSpan score_span("experiment.score_boundaries");
         for (std::size_t i = 0; i < kAllBoundaries.size(); ++i) {
-            const Boundary b = kAllBoundaries[i];
-            result.table1[i] = pipeline.evaluate(b, result.measured);
-            result.datasets[i] = pipeline.dataset(b);
+            result.table1[i] = pipeline.evaluate(kAllBoundaries[i], result.measured);
         }
     }
 
@@ -83,13 +76,20 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     // exploit the small off-axis structure the Trojan modulation leaves in
     // the measured cloud (the [12] detector similarly worked in a
     // decorrelated feature space).
-    ml::OneClassSvm::Options baseline_opts = config.pipeline.svm;
+    ml::OneClassSvm::Options baseline_opts = pipeline.config().svm;
     baseline_opts.whiten = true;
     GoldenChipBaseline baseline(baseline_opts);
     baseline.fit(result.measured.fingerprints_at(result.measured.trojan_free_indices()));
     result.golden_baseline = baseline.evaluate(result.measured);
 
     return result;
+}
+
+ExperimentResult run_experiment(const ExperimentConfig& config) {
+    obs::ScopedSpan span("experiment.run");
+    span.attr("seed", static_cast<double>(config.seed));
+    span.attr("n_chips", static_cast<double>(config.n_chips));
+    return score_calibration(calibrate(config));
 }
 
 }  // namespace htd::core

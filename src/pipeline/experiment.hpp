@@ -51,20 +51,12 @@ struct ExperimentResult {
     /// The golden-chip baseline of [12] (Fig. 1) on the same population.
     ml::DetectionMetrics golden_baseline;
 
-    /// Copies of the datasets S1..S5 the boundaries were trained on
-    /// (S2/S5 may be large; they are kept for the Fig. 4 projections).
-    std::array<linalg::Matrix, 5> datasets;
-
     /// Mean training R^2 of the MARS regression bank (diagnostic).
     double mars_mean_r2 = 0.0;
 
     /// Kernel-mean-shift iterations used by the calibration stage.
     std::size_t calibration_iterations = 0;
 };
-
-/// Run the full experiment. This is the programmatic equivalent of the
-/// paper's Section 3 and the engine behind bench_table1 / bench_fig4.
-[[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
 /// A measured lot and the pipeline calibrated on it (stages 1 and 2 run).
 struct Calibration {
@@ -80,6 +72,16 @@ struct Calibration {
 /// calibrate, quickstart) gets bit-identical boundaries for one seed.
 /// Opens no span of its own.
 [[nodiscard]] Calibration calibrate(const ExperimentConfig& config);
+
+/// Stage 3 over a calibrated lot: Table 1 for B1..B5, the golden-chip
+/// baseline fitted on the lot's Trojan-free devices, and the calibration
+/// diagnostics.
+[[nodiscard]] ExperimentResult score_calibration(const Calibration& cal);
+
+/// Run the full experiment: score_calibration(calibrate(config)). This is
+/// the programmatic equivalent of the paper's Section 3 and the engine
+/// behind bench_table1.
+[[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
 /// Construct the pieces individually (exposed for custom studies):
 

@@ -13,16 +13,6 @@ namespace htd::core {
 
 namespace {
 
-void require_finite(const linalg::Vector& x, const char* context) {
-    for (std::size_t c = 0; c < x.size(); ++c) {
-        if (!std::isfinite(x[c])) {
-            throw DataQualityError(std::string(context) +
-                                   ": non-finite value at channel " +
-                                   std::to_string(c));
-        }
-    }
-}
-
 /// Tail mass of `x` under a persisted adaptive estimator: the density at x
 /// and the fraction of calibration observations whose own density is at
 /// most x's. Observations are reconstructed from the standardized pilot
@@ -124,7 +114,8 @@ std::optional<Boundary> BoundaryScorer::verdict_boundary() const noexcept {
 ExplainRecord BoundaryScorer::explain(const linalg::Vector& fingerprint,
                                       std::string chip,
                                       const ExplainOptions& opts) const {
-    require_finite(fingerprint, "explain: fingerprint");
+    require_finite(linalg::Matrix::from_rows({&fingerprint, 1}),
+                   "explain: fingerprint");
     ExplainRecord rec;
     rec.chip = std::move(chip);
 

@@ -13,21 +13,32 @@ namespace {
 
 std::size_t index_of(Boundary b) { return static_cast<std::size_t>(b); }
 
-/// Reject NaN / +/-Inf matrices before they poison a trained model.
-void require_finite(const linalg::Matrix& m, const char* context) {
+/// Stage 3's input contract: the boundary's training width, finite cells.
+void check_fingerprints(Boundary b, std::size_t width,
+                        const linalg::Matrix& fingerprints, const char* context) {
+    if (fingerprints.cols() != width) {
+        throw DimensionError(std::string(context) +
+                             ": fingerprint dimension mismatch (got " +
+                             std::to_string(fingerprints.cols()) +
+                             " columns, boundary " + boundary_name(b) +
+                             " was trained on " + std::to_string(width) + ")");
+    }
+    require_finite(fingerprints, std::string(context) + ": fingerprints");
+}
+
+}  // namespace
+
+void require_finite(const linalg::Matrix& m, const std::string& context) {
     for (std::size_t r = 0; r < m.rows(); ++r) {
         for (std::size_t c = 0; c < m.cols(); ++c) {
             if (!std::isfinite(m(r, c))) {
-                throw DataQualityError(std::string(context) +
-                                       ": non-finite value at row " +
+                throw DataQualityError(context + ": non-finite value at row " +
                                        std::to_string(r) + ", column " +
                                        std::to_string(c));
             }
         }
     }
 }
-
-}  // namespace
 
 std::string boundary_name(Boundary b) {
     switch (b) {
@@ -569,17 +580,10 @@ const ml::OneClassSvm& GoldenFreePipeline::svm_for(Boundary b) const {
     return boundaries_[index_of(b)];
 }
 
-std::vector<bool> GoldenFreePipeline::classify(Boundary b,
-                                               const linalg::Matrix& fingerprints) const {
-    const ml::OneClassSvm& svm = svm_for(b);
-    if (fingerprints.cols() != datasets_[index_of(b)].cols()) {
-        throw DimensionError("classify: fingerprint dimension mismatch (got " +
-                             std::to_string(fingerprints.cols()) +
-                             " columns, boundary " + boundary_name(b) +
-                             " was trained on " +
-                             std::to_string(datasets_[index_of(b)].cols()) + ")");
-    }
-    require_finite(fingerprints, "classify: fingerprints");
+std::vector<bool> classify_boundary(Boundary b, const ml::OneClassSvm& svm,
+                                    std::size_t width,
+                                    const linalg::Matrix& fingerprints) {
+    check_fingerprints(b, width, fingerprints, "classify");
     obs::ScopedSpan span("pipeline.stage3_classify");
     span.attr("boundary", static_cast<double>(index_of(b)) + 1.0);  // 1 = B1
     span.attr("devices", static_cast<double>(fingerprints.rows()));
@@ -606,23 +610,27 @@ std::vector<bool> GoldenFreePipeline::classify(Boundary b,
         accepted += inside[r] ? 1 : 0;
     }
     span.attr("accepted", static_cast<double>(accepted));
-    obs::Registry::global().counter_add("pipeline.devices_classified",
-                                        static_cast<double>(fingerprints.rows()));
+    obs::Registry::global().work_add("work.score.devices",
+                                     static_cast<double>(fingerprints.rows()));
     return inside;
+}
+
+linalg::Vector boundary_decision_values(Boundary b, const ml::OneClassSvm& svm,
+                                        std::size_t width,
+                                        const linalg::Matrix& fingerprints) {
+    check_fingerprints(b, width, fingerprints, "decision_values");
+    return svm.decision_values(fingerprints);
+}
+
+std::vector<bool> GoldenFreePipeline::classify(Boundary b,
+                                               const linalg::Matrix& fingerprints) const {
+    return classify_boundary(b, svm_for(b), datasets_[index_of(b)].cols(), fingerprints);
 }
 
 linalg::Vector GoldenFreePipeline::decision_values(
     Boundary b, const linalg::Matrix& fingerprints) const {
-    const ml::OneClassSvm& svm = svm_for(b);
-    if (fingerprints.cols() != datasets_[index_of(b)].cols()) {
-        throw DimensionError(
-            "decision_values: fingerprint dimension mismatch (got " +
-            std::to_string(fingerprints.cols()) + " columns, boundary " +
-            boundary_name(b) + " was trained on " +
-            std::to_string(datasets_[index_of(b)].cols()) + ")");
-    }
-    require_finite(fingerprints, "decision_values: fingerprints");
-    return svm.decision_values(fingerprints);
+    return boundary_decision_values(b, svm_for(b), datasets_[index_of(b)].cols(),
+                                    fingerprints);
 }
 
 ml::DetectionMetrics GoldenFreePipeline::evaluate(

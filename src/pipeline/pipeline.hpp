@@ -161,6 +161,27 @@ struct PipelineConfig {
     obs::HealthThresholds health{};
 };
 
+/// Throw DataQualityError naming the first NaN / +/-Inf cell of `m`.
+void require_finite(const linalg::Matrix& m, const std::string& context);
+
+/// Stage 3, the one scorer behind GoldenFreePipeline and BoundaryScorer:
+/// classify measured fingerprints against boundary `b`'s trained `svm`,
+/// whose training fingerprints were `width` channels wide. true = inside
+/// the trusted region (Trojan-free verdict). Journals one `chip_scored`
+/// event per device when the decision journal is on. Throws
+/// DimensionError on a width mismatch and DataQualityError on non-finite
+/// fingerprints.
+[[nodiscard]] std::vector<bool> classify_boundary(Boundary b,
+                                                  const ml::OneClassSvm& svm,
+                                                  std::size_t width,
+                                                  const linalg::Matrix& fingerprints);
+
+/// Decision values (positive = inside) under the same checks as
+/// classify_boundary.
+[[nodiscard]] linalg::Vector boundary_decision_values(
+    Boundary b, const ml::OneClassSvm& svm, std::size_t width,
+    const linalg::Matrix& fingerprints);
+
 /// The golden chip-free detection pipeline.
 class GoldenFreePipeline {
 public:
@@ -192,7 +213,8 @@ public:
     [[nodiscard]] std::vector<bool> classify(Boundary b,
                                              const linalg::Matrix& fingerprints) const;
 
-    /// Decision values (positive = inside) for diagnostics.
+    /// Decision values (positive = inside) for diagnostics; same error
+    /// contract as classify.
     [[nodiscard]] linalg::Vector decision_values(
         Boundary b, const linalg::Matrix& fingerprints) const;
 

@@ -5,22 +5,21 @@
 /// retraining. Calibrate once on the trusted workstation, then fan the
 /// artifact out to production testers and score millions of devices.
 ///
-/// Contract: for the same artifact and inputs, `classify` and
-/// `decision_values` are *bitwise identical* to the in-process
-/// `GoldenFreePipeline` they were calibrated from — the SVM state is
-/// persisted in the exact representation the decision function consumes,
-/// and doubles round-trip exactly through the JSON layer.
+/// Contract: `classify` and `decision_values` run the same stage-3 code as
+/// the in-process `GoldenFreePipeline` (core::classify_boundary and
+/// core::boundary_decision_values), so for the same artifact and inputs
+/// they are *bitwise identical* to it — the SVM state is persisted in the
+/// exact representation the decision function consumes, and doubles
+/// round-trip exactly through the JSON layer.
 
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "linalg/matrix.hpp"
-#include "ml/metrics.hpp"
 #include "pipeline/artifact.hpp"
 #include "pipeline/explain.hpp"
 #include "pipeline/pipeline.hpp"
-#include "silicon/bench_measure.hpp"
 
 namespace htd::core {
 
@@ -45,10 +44,6 @@ public:
     /// contract as classify.
     [[nodiscard]] linalg::Vector decision_values(
         Boundary b, const linalg::Matrix& fingerprints) const;
-
-    /// Convenience: classify + score a measured DUTT population.
-    [[nodiscard]] ml::DetectionMetrics evaluate(Boundary b,
-                                                const silicon::DuttDataset& dutts) const;
 
     /// The boundary a production verdict comes from: the highest boundary
     /// (B5 down to B1) that survived calibration and loading; nullopt when

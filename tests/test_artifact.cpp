@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +21,8 @@
 #include <vector>
 
 #include "io/json.hpp"
+#include "obs/journal.hpp"
+#include "obs/obs.hpp"
 #include "pipeline/artifact.hpp"
 #include "pipeline/artifact_fault.hpp"
 #include "pipeline/experiment.hpp"
@@ -120,6 +123,82 @@ TEST_F(ArtifactSuite, CleanRoundTripScoresBitIdentical) {
         ASSERT_EQ(scorer.boundary_ready(b), pipeline_->boundary_ready(b));
         if (scorer.boundary_ready(b)) expect_bitwise_parity(scorer, b);
     }
+}
+
+TEST_F(ArtifactSuite, PipelineAndScorerRunOneStage3Path) {
+    // Stage 3 is one piece of code behind both surfaces: the same typed
+    // errors, the same journaled chip_scored lines and the same
+    // work.score.devices count, in-process and from the artifact.
+    const core::BoundaryScorer scorer(core::BoundaryArtifact::from_json(artifact_doc_));
+    const core::Boundary b = core::Boundary::kB5;
+    const auto on_both = [&](const auto& check) {
+        check(*pipeline_);
+        check(scorer);
+    };
+
+    const linalg::Matrix narrow(2, fingerprints_.cols() - 1);
+    linalg::Matrix nan_cell = fingerprints_;
+    nan_cell(3, 2) = std::nan("");
+    on_both([&](const auto& path) {
+        EXPECT_THROW((void)path.classify(b, narrow), core::DimensionError);
+        EXPECT_THROW((void)path.decision_values(b, narrow), core::DimensionError);
+        EXPECT_THROW((void)path.classify(b, nan_cell), core::DataQualityError);
+        EXPECT_THROW((void)path.decision_values(b, nan_cell), core::DataQualityError);
+    });
+
+    // After stage 1 alone, B3 is untrained in the pipeline and absent from
+    // its artifact.
+    const core::ExperimentConfig config = reduced_config();
+    const core::ProcessPair processes =
+        core::make_process_pair(config.process_shift_sigma);
+    core::GoldenFreePipeline stage1(
+        config.pipeline, silicon::SpiceSimulator(config.platform, processes.spice));
+    rng::Rng rng(config.seed);
+    stage1.run_premanufacturing(rng);
+    const core::BoundaryScorer stage1_scorer(
+        core::BoundaryArtifact::from_pipeline(stage1, config.seed, "test_artifact"));
+    const auto unavailable = [&](const auto& path) {
+        EXPECT_THROW((void)path.classify(core::Boundary::kB3, fingerprints_),
+                     core::BoundaryUnavailableError);
+        EXPECT_THROW((void)path.decision_values(core::Boundary::kB3, fingerprints_),
+                     core::BoundaryUnavailableError);
+    };
+    unavailable(stage1);
+    unavailable(stage1_scorer);
+
+    // Normalized journals, with spans off so no span id differs.
+    obs::Registry& registry = obs::Registry::global();
+    obs::EventJournal& journal = obs::EventJournal::global();
+    registry.configure(obs::SinkKind::kOff);
+    journal.set_normalized(true);
+    std::vector<std::vector<bool>> verdicts;
+    std::vector<std::string> journals;
+    on_both([&](const auto& path) {
+        const std::string file = temp_path("stage3_journal");
+        journal.open(file);
+        verdicts.push_back(path.classify(b, fingerprints_));
+        journal.close();
+        std::ifstream in(file, std::ios::binary);
+        journals.emplace_back(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>());
+        std::filesystem::remove(file);
+    });
+    journal.set_normalized(false);
+    ASSERT_EQ(journals.size(), 2U);
+    EXPECT_EQ(verdicts[0], verdicts[1]);
+    EXPECT_NE(journals[0].find("\"chip_scored\""), std::string::npos);
+    EXPECT_EQ(journals[0], journals[1]);
+
+    std::vector<double> work;
+    registry.configure(obs::SinkKind::kJson);
+    on_both([&](const auto& path) {
+        registry.reset();
+        (void)path.classify(b, fingerprints_);
+        work.push_back(registry.work_value("work.score.devices"));
+    });
+    registry.configure(obs::SinkKind::kOff);
+    registry.reset();
+    EXPECT_EQ(work, std::vector<double>(2, static_cast<double>(fingerprints_.rows())));
 }
 
 TEST_F(ArtifactSuite, AtomicSaveThenLoadIsByteStable) {
@@ -558,8 +637,8 @@ TEST(ArtifactBranchPin, EvtUnprunedWhitenedFallbackArtifactIsByteStable) {
 
 TEST(CalibrationParity, RunExperimentAndHtdScoreShareTheCalibrateStreams) {
     // run_experiment and htd_score calibrate both go through
-    // core::calibrate, so one seed gives the same lot, the same training
-    // sets, the same Table 1 and bit-equal decision values on every path.
+    // core::calibrate, so one seed gives the same lot, the same Table 1 and
+    // bit-equal decision values on every path.
     const core::ExperimentConfig config = reduced_config();
     const core::ExperimentResult result = core::run_experiment(config);
     const auto [devices, pipeline] = core::calibrate(config);
@@ -585,7 +664,6 @@ TEST(CalibrationParity, RunExperimentAndHtdScoreShareTheCalibrateStreams) {
         EXPECT_EQ(result.table1[i].false_negatives, m.false_negatives);
         EXPECT_EQ(result.table1[i].trojan_free_total, m.trojan_free_total);
         EXPECT_EQ(result.table1[i].trojan_infested_total, m.trojan_infested_total);
-        EXPECT_EQ(result.datasets[i], pipeline->dataset(b));
 
         const linalg::Vector dv = pipeline->decision_values(b, devices.fingerprints);
         const std::vector<io::Json>& scores =

@@ -84,11 +84,14 @@ TEST(Integration, SeedChangesPopulationNotShape) {
 }
 
 TEST(Integration, DatasetsExportedForFig4) {
-    const ExperimentResult r = run_experiment(fast_config());
-    EXPECT_EQ(r.datasets[0].cols(), 6u);   // S1
-    EXPECT_EQ(r.datasets[4].cols(), 6u);   // S5
-    EXPECT_GT(r.datasets[1].rows(), r.datasets[0].rows());  // S2 enhanced
-    EXPECT_EQ(r.datasets[2].rows(), 120u);                  // S3 from DUTTs
+    using htd::core::Boundary;
+    const htd::core::Calibration cal = htd::core::calibrate(fast_config());
+    const htd::core::GoldenFreePipeline& p = *cal.pipeline;
+    EXPECT_EQ(p.dataset(Boundary::kB1).cols(), 6u);   // S1
+    EXPECT_EQ(p.dataset(Boundary::kB5).cols(), 6u);   // S5
+    EXPECT_GT(p.dataset(Boundary::kB2).rows(),
+              p.dataset(Boundary::kB1).rows());        // S2 enhanced
+    EXPECT_EQ(p.dataset(Boundary::kB3).rows(), 120u);  // S3 from DUTTs
 }
 
 TEST(Integration, SmallerChipCountStillRuns) {
